@@ -64,6 +64,7 @@ from .spectrum import (
     lambda2,
     lambda3,
     lambda_k,
+    nearest_mode,
     resonance_check,
 )
 
@@ -122,6 +123,7 @@ __all__ = [
     "lambda2",
     "lambda3",
     "lambda_k",
+    "nearest_mode",
     "resonance_check",
     "__version__",
 ]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Interval, ProblemSpec, ScalarField, extrema, integrate, split_signs
-from .spectrum import SpectralData, delta2, lambda_k, resonance_check
+from .spectrum import SpectralData, delta2, nearest_mode
 
 __all__ = [
     "InequalityRecord",
@@ -237,26 +237,10 @@ def _eval_amp_negative(c: ScalarField, h: ScalarField, p: float, interval: Inter
     return recs[-1].satisfied, recs, notes
 
 
-def _range_gap(c_m: float, c_sup: float, p: float, interval: Interval) -> float:
-    """Distance from the range [c_m, c_sup] to the nearest -lambda_k."""
-    best = np.inf
-    k = 1
-    while k < 100000:
-        lam = lambda_k(p, interval, k)
-        if c_m <= -lam <= c_sup:
-            return 0.0
-        gap = min(abs(-lam - c_m), abs(-lam - c_sup))
-        best = min(best, gap)
-        if -lam < c_m and gap >= best:
-            break
-        k += 1
-    return float(best)
-
-
 def _eval_uniqueness_window(c: ScalarField, p: float, interval: Interval, sd: SpectralData):
-    ok = resonance_check(c, p, interval)
     c_m, c_sup = extrema(c)
-    gap = _range_gap(c_m, c_sup, p, interval)
+    gap = nearest_mode(p, interval, c_m, c_sup)[1]
+    ok = gap > 0.0
     recs = [_rec("Prop4_2_unique", "distance from range of c to nearest -lambda_k", gap, ">", 0.0)]
     r = None
     if ok and -sd.lambda1 < c_m < 0.0:

@@ -23,7 +23,7 @@ from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, ResonanceError
 from .fields import Grid, ProblemSpec, ScalarField, diff, extrema, integrate, sup_norm
-from .spectrum import SpectralData, delta1, lambda_k
+from .spectrum import SpectralData, delta1, lambda_k, nearest_mode
 
 __all__ = [
     "OperatorMatrix",
@@ -130,28 +130,10 @@ def _band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
 # resonance reporting
 
 
-def _nearest_eigenvalue(p: float, interval, c: ScalarField) -> tuple[int, float]:
-    """Mode k whose -lambda_k is closest to the range of c, and that value."""
-    c_m, c_sup = extrema(c)
-    best_k, best_gap, best_lam = 1, np.inf, lambda_k(p, interval, 1)
-    k = 1
-    while k < 100000:
-        lam = lambda_k(p, interval, k)
-        if c_m <= -lam <= c_sup:
-            gap = 0.0
-        else:
-            gap = min(abs(-lam - c_m), abs(-lam - c_sup))
-        if gap < best_gap:
-            best_k, best_gap, best_lam = k, gap, lam
-        if -lam < c_m and gap >= best_gap:
-            break
-        k += 1
-    return best_k, -best_lam
-
-
 def _resonance_error(op: OperatorMatrix) -> ResonanceError:
-    k, val = _nearest_eigenvalue(op.p, op.grid.interval, op.c)
     c_m, c_sup = extrema(op.c)
+    k, _ = nearest_mode(op.p, op.grid.interval, c_m, c_sup)
+    val = -lambda_k(op.p, op.grid.interval, k)
     return ResonanceError(
         f"discrete operator is singular or near resonance: the coefficient range "
         f"[{c_m:.6g}, {c_sup:.6g}] sits nearest -lambda_{k} = {val:.10g}",

@@ -6,14 +6,26 @@ eigenvalues of -c are explicit,
     lambda_k = (k pi / L)^4 + p (k pi / L)^2,   L = b - a,
 
 and the inverse-positivity / inverse-negativity windows are bounded by two
-further thresholds lambda2 < 0 < lambda3 that solve transcendental
-tan/tanh equations coming from the clamped-hinged and interior-touching
-boundary cases.  This module computes all of them plus the constants
-delta1 and delta2 used by the contraction and uniqueness bounds.
+further thresholds lambda2 < 0 < lambda3, each the least root of a tan/tanh
+equation coming from the clamped-hinged and interior-touching boundary
+cases.  Substituting x = (L/2) q for lambda2 and x = L q / sqrt(2) for
+lambda3 turns both equations into
+
+    tan x / x = tanh y / y,   y^2 = x^2 + s,
+
+with s = p L^2 / 2 (lambda2) or s = p L^2 (lambda3).  For every p >= 0 and
+L > 0 the least positive root lies in (pi, 3 pi / 2) and is the only root
+there: on (0, pi/2) tan x / x > 1 > tanh y / y, on (pi/2, pi] tan x <= 0 <
+tanh y / y, and on (pi, 3 pi/2) tan x / x increases while tanh y / y
+decreases.  So each threshold is a bisection on a fixed bracket followed by
+a closed-form map from x back to lambda.  This module computes both, the
+eigenvalue nearest a coefficient range, and the constants delta1 and delta2
+used by the contraction and uniqueness bounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +41,9 @@ __all__ = [
     "delta1",
     "delta1_alt",
     "delta2",
+    "nearest_mode",
     "resonance_check",
 ]
-
-_LADDER_RATIO = 1.05
-_LADDER_STEPS = 2000
-_RESIDUAL_TOL = 1e-12
 
 
 def _require_p(p: float) -> None:
@@ -52,53 +61,33 @@ def lambda_k(p: float, interval: Interval, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bracketed searches for the transcendental thresholds
+# the transcendental thresholds
 
 
-def _bisect(fn, lo: float, hi: float, s_lo: float) -> float:
-    # run to floating-point exhaustion; the bracket is pole-free by construction
+def _tan_tanh_root(s: float, what: str) -> float:
+    """The root x in (pi, 3 pi/2) of tan x / x = tanh y / y, y = sqrt(x^2 + s).
+
+    Bisects the pole-free form g(x) = y sin x - x tanh(y) cos x, positive at
+    pi and negative at 3 pi/2, to floating-point exhaustion, then confirms
+    the sign change across the final bracket.
+    """
+
+    def g(x: float) -> float:
+        y = math.sqrt(x * x + s)
+        return y * math.sin(x) - x * math.tanh(y) * math.cos(x)
+
+    lo, hi = math.pi, 1.5 * math.pi
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        sm = fn(mid)
-        if sm == 0.0:
-            return mid
-        if (sm < 0.0) == (s_lo < 0.0):
-            lo, s_lo = mid, sm
+        if g(mid) > 0.0:
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _least_root(value, branch, start: float, what: str) -> float:
-    """First positive root of ``value`` on a geometric ladder from ``start``.
-
-    ``branch`` indexes the tan branch at a given abscissa; brackets whose
-    endpoints sit on different branches straddle a pole and are rejected.
-    """
-    lam = start
-    s0 = value(lam)
-    b0 = branch(lam)
-    for _ in range(_LADDER_STEPS):
-        nxt = lam * _LADDER_RATIO
-        s1 = value(nxt)
-        b1 = branch(nxt)
-        if (
-            np.isfinite(s0)
-            and np.isfinite(s1)
-            and (s0 < 0.0) != (s1 < 0.0)
-            and b0 == b1
-        ):
-            return _bisect(value, lam, nxt, s0)
-        lam, s0, b0 = nxt, s1, b1
-    raise RootSearchError(f"no sign change found for {what} within the search ceiling")
-
-
-def _check_residual(value, root: float, what: str) -> None:
-    res = abs(float(value(root)))
-    if not res < _RESIDUAL_TOL:
-        raise RootSearchError(f"{what} root residual {res:.3e} exceeds {_RESIDUAL_TOL}")
+    if not (hi - lo <= 4.0 * math.ulp(hi) and g(lo) > 0.0 >= g(hi)):
+        raise RootSearchError(f"{what}: no sign change across the final bracket [{lo!r}, {hi!r}]")
+    return hi
 
 
 def lambda2(p: float, interval: Interval) -> float:
@@ -106,26 +95,18 @@ def lambda2(p: float, interval: Interval) -> float:
 
     Returns minus the least positive root lam (with 2 sqrt(lam) > p) of
 
-        tan((L/2) sqrt(2 sqrt(lam) - p)) / sqrt(2 sqrt(lam) - p)
-          = tanh((L/2) sqrt(2 sqrt(lam) + p)) / sqrt(2 sqrt(lam) + p).
+        tan((L/2) q) / q = tanh((L/2) r) / r,
+        q = sqrt(2 sqrt(lam) - p),  r = sqrt(2 sqrt(lam) + p).
+
+    With x = (L/2) q and y = (L/2) r = sqrt(x^2 + p L^2 / 2) this reads
+    tan x / x = tanh y / y, whose least positive root is the only one in
+    (pi, 3 pi/2) (see the module docstring); lam = ((q^2 + p) / 2)^2.
     """
     _require_p(p)
     L = interval.length
-
-    def value(lam: float) -> float:
-        s = np.sqrt(lam)
-        q = np.sqrt(2.0 * s - p)
-        r = np.sqrt(2.0 * s + p)
-        return np.tan(0.5 * L * q) / q - np.tanh(0.5 * L * r) / r
-
-    def branch(lam: float) -> int:
-        q = np.sqrt(2.0 * np.sqrt(lam) - p)
-        return int(np.floor(0.5 * L * q / np.pi + 0.5))
-
-    start = 0.25 * p * p + 1e-9 * max(1.0, 0.25 * p * p)
-    root = _least_root(value, branch, start, "the lambda2 threshold equation")
-    _check_residual(value, root, "lambda2")
-    return -root
+    x = _tan_tanh_root(0.5 * p * L * L, "lambda2")
+    q = 2.0 * x / L
+    return -(0.5 * (q * q + p)) ** 2
 
 
 def lambda3(p: float, interval: Interval) -> float:
@@ -133,28 +114,18 @@ def lambda3(p: float, interval: Interval) -> float:
 
     Returns the least positive root lam of
 
-        tan(L sqrt(sqrt(p^2 + 4 lam) - p) / sqrt(2)) / sqrt(sqrt(p^2 + 4 lam) - p)
-          = tanh(L sqrt(sqrt(p^2 + 4 lam) + p) / sqrt(2)) / sqrt(sqrt(p^2 + 4 lam) + p).
+        tan(L q / sqrt(2)) / q = tanh(L r / sqrt(2)) / r,
+        q = sqrt(sqrt(p^2 + 4 lam) - p),  r = sqrt(sqrt(p^2 + 4 lam) + p).
+
+    With x = L q / sqrt(2) and y = L r / sqrt(2) = sqrt(x^2 + p L^2) this
+    reads tan x / x = tanh y / y, whose least positive root is the only one
+    in (pi, 3 pi/2) (see the module docstring); lam = q^2 (q^2 + 2 p) / 4.
     """
     _require_p(p)
     L = interval.length
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-
-    def value(lam: float) -> float:
-        w = np.sqrt(p * p + 4.0 * lam)
-        q = np.sqrt(w - p)
-        r = np.sqrt(w + p)
-        return np.tan(L * q * inv_sqrt2) / q - np.tanh(L * r * inv_sqrt2) / r
-
-    def branch(lam: float) -> int:
-        w = np.sqrt(p * p + 4.0 * lam)
-        q = np.sqrt(w - p)
-        return int(np.floor(L * q * inv_sqrt2 / np.pi + 0.5))
-
-    start = lambda_k(p, interval, 1) * 1e-8
-    root = _least_root(value, branch, start, "the lambda3 threshold equation")
-    _check_residual(value, root, "lambda3")
-    return float(root)
+    x = _tan_tanh_root(p * L * L, "lambda3")
+    q2 = 2.0 * (x / L) ** 2
+    return 0.25 * q2 * (q2 + 2.0 * p)
 
 
 # ---------------------------------------------------------------------------
@@ -196,23 +167,34 @@ def delta2(p: float, interval: Interval, c_m: float) -> float:
     return float(min(-1.0 - c_m / lam1, 1.0 + c_m / lam1p))
 
 
-def resonance_check(c: ScalarField, p: float, interval: Interval) -> bool:
-    """True when no -lambda_k lies inside the closed range of c.
+def nearest_mode(p: float, interval: Interval, c_min: float, c_max: float) -> tuple[int, float]:
+    """Mode k whose -lambda_k is nearest the range [c_min, c_max], and that distance.
 
-    Eigenvalue scan stops at the smallest k with lambda_k > -c_min + 1, past
-    which -lambda_k is below the range of c for good.
+    The distance is 0.0 when -lambda_k lies in the range; ties go to the
+    smaller k.  As lambda_k increases with k, the nearest mode neighbours a
+    real solution of lambda(k) = -c_max or lambda(k) = -c_min, which is the
+    quadratic w^4 + p w^2 = -c in w^2 = (k pi / L)^2.
     """
+    candidates = {1}
+    for t in (-c_max, -c_min):
+        if t > 0.0:
+            w2 = t / (0.5 * p + math.hypot(0.5 * p, math.sqrt(t)))
+            k = int(interval.length * math.sqrt(w2) / math.pi)
+            candidates.update(range(max(k - 1, 1), k + 3))
+    best_k, best_gap = 1, math.inf
+    for k in sorted(candidates):
+        neg = -lambda_k(p, interval, k)
+        gap = 0.0 if c_min <= neg <= c_max else min(abs(neg - c_min), abs(neg - c_max))
+        if gap < best_gap:
+            best_k, best_gap = k, gap
+    return best_k, best_gap
+
+
+def resonance_check(c: ScalarField, p: float, interval: Interval) -> bool:
+    """True when no -lambda_k lies inside the closed range of c."""
     if c.grid.interval != interval:
         raise ValueError("c is not sampled on the given interval")
-    c_m, c_sup = extrema(c)
-    k = 1
-    while True:
-        lam = lambda_k(p, interval, k)
-        if c_m <= -lam <= c_sup:
-            return False
-        if lam > -c_m + 1.0:
-            return True
-        k += 1
+    return nearest_mode(p, interval, *extrema(c))[1] > 0.0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import beamsign
 from beamsign.cli import (
     dump_config,
     load_problem_file,
@@ -275,3 +281,16 @@ def test_problem_file_validation_messages():
         parse_problem_text(BASE.format(c="fast"), None)
     with pytest.raises(ValueError, match="solver.method"):
         parse_problem_text(BASE.format(c=0) + "solver.method = magic\n", None)
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_optimize():
+    # each of these costs hundreds of milliseconds on every command line start
+    src = str(Path(beamsign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, beamsign.cli; "
+        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -125,6 +125,18 @@ def test_integrate_examples():
     assert abs(integrate(cubic) - 0.25) < 1e-15
 
 
+def test_integrate_matches_scipy_simpson_bit_for_bit():
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        g = Grid(Interval(0.0, float(rng.uniform(0.1, 30.0))), 2 * int(rng.integers(4, 1000)))
+        v = rng.standard_normal(g.n + 1) * 10.0 ** rng.uniform(-4.0, 4.0, g.n + 1)
+        f = ScalarField(g, v)
+        assert integrate(f) == float(simpson(v, dx=g.spacing))
+        assert l2_norm(f) == float(np.sqrt(max(simpson(v * v, dx=g.spacing), 0.0)))
+
+
 def test_integrate_linear_and_monotone():
     g = Grid(UNIT, 64)
     rng = np.random.default_rng(7)

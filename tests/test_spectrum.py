@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsign import Grid, Interval, ScalarField
 from beamsign.spectrum import (
@@ -10,6 +14,7 @@ from beamsign.spectrum import (
     lambda2,
     lambda3,
     lambda_k,
+    nearest_mode,
     resonance_check,
 )
 
@@ -141,3 +146,83 @@ def test_spectral_data_compute_is_consistent():
     assert sd.lambda2 == lambda2(2.0, UNIT)
     assert sd.lambda3 == lambda3(2.0, UNIT)
     assert sd.delta1 == delta1(2.0, UNIT)
+
+
+# least roots at large p L^2, from a 50-digit bisection of the original
+# tan/tanh equations (mpmath) on the bracket x in (pi, 3 pi/2)
+LEAST_ROOTS = (
+    (lambda2, 5.0, 25.0, -6.4172744167688036387),
+    (lambda2, 100.0, 25.0, -2503.1953213755546111),
+    (lambda2, 1e4, 1.0, -25203498.49237372273),
+    (lambda2, 1e4, 3.0, -25022145.570200449899),
+    (lambda3, 100.0, 25.0, 1.5920977037404476466),
+)
+
+
+@pytest.mark.parametrize("fn, p, length, expected", LEAST_ROOTS)
+def test_thresholds_are_least_roots_at_large_p_l2(fn, p, length, expected):
+    value = fn(p, Interval(0.0, length))
+    assert abs(value - expected) <= 1e-8 * abs(expected)
+
+
+def _pole_free(which: str, p: float, length: float, q):
+    """r sin(a q) - q tanh(a r) cos(a q): zero exactly where the threshold equation holds."""
+    a = 0.5 * length if which == "lambda2" else length / np.sqrt(2.0)
+    r = np.sqrt(q * q + 2.0 * p)
+    return r * np.sin(a * q) - q * np.tanh(a * r) * np.cos(a * q)
+
+
+def _q_of(which: str, p: float, lam):
+    # the paper's substitutions: q^2 = 2 sqrt(lam) - p, resp. sqrt(p^2 + 4 lam) - p
+    if which == "lambda2":
+        return np.sqrt(2.0 * np.sqrt(lam) - p)
+    return np.sqrt(np.sqrt(p * p + 4.0 * lam) - p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(min_value=0.0, max_value=1e4),
+    length=st.floats(min_value=1e-2, max_value=50.0),
+)
+def test_thresholds_solve_their_equation_with_no_earlier_root(p, length):
+    interval = Interval(0.0, length)
+    for which, lam in (("lambda2", -lambda2(p, interval)), ("lambda3", lambda3(p, interval))):
+        # the pole-free form changes sign across lam: lam solves the equation
+        below = _pole_free(which, p, length, _q_of(which, p, lam * (1.0 - 1e-9)))
+        above = _pole_free(which, p, length, _q_of(which, p, lam * (1.0 + 1e-9)))
+        assert below > 0.0 > above, (which, lam, below, above)
+        # and it keeps one sign on a dense scan of (0, q*): no smaller root
+        q_star = _q_of(which, p, lam)
+        scan = np.linspace(0.0, q_star, 4001)[1:-1]
+        assert np.all(_pole_free(which, p, length, scan) > 0.0), which
+
+
+def _nearest_by_scan(p, interval, c_min, c_max):
+    # reference: walk k upward until -lambda_k has passed below the range
+    best_k, best_gap = 1, math.inf
+    k = 1
+    while True:
+        neg = -lambda_k(p, interval, k)
+        gap = 0.0 if c_min <= neg <= c_max else min(abs(neg - c_min), abs(neg - c_max))
+        if gap < best_gap:
+            best_k, best_gap = k, gap
+        if neg < c_min and gap >= best_gap:
+            return best_k, best_gap
+        k += 1
+
+
+def test_nearest_mode_matches_the_scan():
+    rng = np.random.default_rng(7)
+    cases = [(0.0, UNIT, -1e20, -1e20), (3.0, UNIT, 5.0, 50.0), (0.0, UNIT, -np.pi**4, -np.pi**4)]
+    for _ in range(400):
+        p = float(rng.choice([0.0, 1.0, 37.5, 1e3]))
+        interval = Interval(0.0, float(rng.uniform(0.2, 6.0)))
+        k0 = int(rng.integers(1, 60))
+        centre = -lambda_k(p, interval, k0) * float(rng.uniform(0.7, 1.3))
+        half = abs(centre) * float(rng.choice([0.0, 1e-3, 0.05, 0.5]))
+        cases.append((p, interval, centre - half, centre + half))
+        # ranges that end exactly on an eigenvalue, and constants sitting on one
+        neg = -lambda_k(p, interval, k0)
+        cases += [(p, interval, neg, neg), (p, interval, neg, neg + half), (p, interval, neg - half, neg)]
+    for p, interval, c_min, c_max in cases:
+        assert nearest_mode(p, interval, c_min, c_max) == _nearest_by_scan(p, interval, c_min, c_max)
