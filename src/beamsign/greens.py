@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ResonanceError
 from .fields import Grid, ScalarField
-from .solver import _interior_residual, _resonance_error, _resolve_grid, _solve_refined, assemble
+from .solver import OperatorMatrix, _resonance_error, _resolve_grid, _solve_refined, assemble
 
 __all__ = [
     "GreensMatrix",
@@ -97,13 +97,17 @@ def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> Greens
         raise ValueError(
             f"terms = {terms} truncates before the modal denominators turn positive; increase it"
         )
-    x = (grid.nodes - grid.interval.a) * (np.pi / L)
-    phi = np.sin(np.outer(x, k))
-    vals = (phi * (2.0 / (L * denom))) @ phi.T
-    vals[0, :] = 0.0
-    vals[-1, :] = 0.0
-    vals[:, 0] = 0.0
-    vals[:, -1] = 0.0
+    # On the grid, x_i = i pi / n and sin(k x_i) sin(k x_j) is half of
+    # cos(k (i - j) pi / n) - cos(k (i + j) pi / n), so G[i, j] =
+    # (S[|i - j|] - S[i + j]) / L with S[d] = sum_k cos(k d pi / n) / denom_k.
+    # cos(k d pi / n) has period 2n in k: fold the weights mod 2n, one FFT.
+    # S[2n - d] = S[d] holds exactly, so rows and columns 0 and n are exactly 0.
+    n = grid.n
+    folded = np.bincount(np.arange(1, terms + 1) % (2 * n), weights=1.0 / denom, minlength=2 * n)
+    S = np.fft.rfft(folded).real
+    S = np.concatenate((S, S[-2::-1]))  # d = 0 .. 2n
+    i = np.arange(n + 1)
+    vals = (S[np.abs(i[:, None] - i)] - S[i[:, None] + i]) / L
     # tail: remaining modes are summed crudely and then bounded by the integral test
     k_ext = np.arange(terms + 1, terms + 2001, dtype=np.float64)
     w_ext = k_ext * np.pi / L
@@ -120,20 +124,19 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     interior block of the operator is.
     """
     grid = _resolve_grid(c.grid, grid)
-    op = assemble(p, c, grid)
-    n = grid.n
-    load = 1.0 / grid.spacing
-    rhs = np.zeros((n + 1, n - 1))
-    rhs[np.arange(1, n), np.arange(n - 1)] = load
-    cols = _solve_refined(op, rhs)
-    res = float(np.max(np.abs(
-        np.asarray(op.apply(cols), dtype=np.float64)[1:-1, :] - rhs[1:-1, :]
-    )))
-    if not np.isfinite(res) or res > 1e-8 * (load + 1.0):
+    return GreensMatrix(grid, _kernel_values(assemble(p, c, grid)))
+
+
+def _kernel_values(op: OperatorMatrix) -> np.ndarray:
+    n = op.grid.n
+    load = 1.0 / op.grid.spacing
+    rhs = np.zeros((n + 1, n + 1))  # columns 0 and n stay zero, and so do theirs in G
+    rhs[np.arange(1, n), np.arange(1, n)] = load
+    bound = 1e-8 * (load + 1.0)
+    vals, res = _solve_refined(op, rhs, bound)
+    if not np.isfinite(res) or res > bound:
         raise _resonance_error(op)
-    vals = np.zeros((n + 1, n + 1), dtype=cols.dtype)
-    vals[:, 1:n] = cols
-    return GreensMatrix(grid, vals)
+    return vals
 
 
 def y_boundary(p: float, c: ScalarField, grid: Grid | None, side: str) -> ScalarField:
@@ -145,18 +148,17 @@ def y_boundary(p: float, c: ScalarField, grid: Grid | None, side: str) -> Scalar
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     grid = _resolve_grid(c.grid, grid)
-    op = assemble(p, c, grid)
-    inv2 = grid.spacing**-2
-    rhs = np.zeros(grid.n + 1)
-    if side == "a":
-        rhs[1] = -inv2
-    else:
-        rhs[-2] = -inv2
-    y = _solve_refined(op, rhs)
-    res = _interior_residual(op, y, rhs)
-    if not np.isfinite(res) or res > 2e-8:
+    return ScalarField(grid, _moment_response(assemble(p, c, grid), side))
+
+
+def _moment_response(op: OperatorMatrix, side: str) -> np.ndarray:
+    rhs = np.zeros(op.grid.n + 1)
+    rhs[1 if side == "a" else -2] = -op.grid.spacing**-2
+    bound = 2e-8
+    y, res = _solve_refined(op, rhs, bound)
+    if not np.isfinite(res) or res > bound:
         raise _resonance_error(op)
-    return ScalarField(grid, y)
+    return y
 
 
 def sign_scan(G: GreensMatrix, grid: Grid | None = None, tol: float | None = None) -> GreensSignReport:

@@ -294,3 +294,20 @@ def test_cli_import_leaves_out_scipy_integrate_and_optimize():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_spectrum_and_check_leave_out_scipy_linalg(tmp_path):
+    # scipy.linalg is loaded at the first factorization, so commands that never
+    # solve skip its few hundred milliseconds of import
+    src = str(Path(beamsign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = write_problem(tmp_path, BASE.format(c=-900))
+    for argv in (["spectrum", "--p", "5", "--a", "0", "--b", "2"], ["check", str(path)]):
+        code = (
+            "import sys, beamsign, beamsign.cli; "
+            f"code = beamsign.cli.run({argv!r}); "
+            "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.strip().splitlines()[-1] == "0 False", done.stderr

@@ -175,3 +175,26 @@ def test_greens_matrix_shape_validation():
     grid = Grid(UNIT, 8)
     with pytest.raises(ValueError):
         GreensMatrix(grid, np.zeros((4, 4)))
+
+
+def test_greens_constant_matches_the_explicit_double_sum():
+    # the FFT summation against the plain sum over modes of sin * sin / (lambda_k + m)
+    interval = Interval(0.5, 2.0)
+    L = interval.length
+    grid = Grid(interval, 100)
+    x = (grid.nodes - interval.a) * (np.pi / L)
+    terms = 2000
+    k = np.arange(1, terms + 1, dtype=np.float64)
+    w = k * np.pi / L
+    for p in (0.0, 50.0):
+        lam1 = lambda_k(p, interval, 1)
+        lam2 = lambda_k(p, interval, 2)
+        for m in (-0.5 * (lam1 + lam2), -0.5 * lam1, 3.0 * lam1):
+            G = np.asarray(greens_constant(p, m, grid, terms=terms).values)
+            assert np.array_equal(G, G.T)
+            assert np.all(G[[0, -1], :] == 0.0)
+            phi = np.sin(np.outer(x, k))
+            ref = (phi * (2.0 / (L * (w**4 + p * w**2 + m)))) @ phi.T
+            ref[[0, -1], :] = 0.0
+            ref[:, [0, -1]] = 0.0
+            assert np.max(np.abs(G - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -8,9 +8,12 @@ from beamsign import (
     ScalarField,
     direct_solve,
     fixed_point_solve,
+    greens_discrete,
+    parse_expression,
     sign_certificate,
     sup_norm,
     superposition_solve,
+    y_boundary,
 )
 from beamsign.errors import ConvergenceError, ResonanceError
 from beamsign.solver import (
@@ -268,3 +271,125 @@ def test_smallest_eigenvalue_tracks_the_spectrum():
     # adding a constant to c shifts the whole discrete spectrum exactly
     e_shift = smallest_eigenvalue(assemble(0.0, ScalarField.constant(grid, 100.0), grid))
     assert abs(e_shift - e0 - 100.0) < 1e-2
+
+
+def test_direct_solve_large_n_meets_the_unchanged_bound():
+    # factoring the full matrix let pivoting mix the identity end rows into the
+    # interior and raised a false ResonanceError here
+    interval = Interval(-1.35043, 1.35043)
+    grid = Grid(interval, 2000)
+    expr = parse_expression("28.1206 + 6.46487*(exp(0 - (t + 1.35043)/2.70086) - 0.367879)")
+    c = ScalarField(grid, expr(grid.nodes))
+    problem = ProblemSpec(interval, 1.0, c, ScalarField.constant(grid, 4.89435))
+    sol = direct_solve(problem)
+    assert sol.residual_norm <= 1e-8 * (4.89435 + 1.0)
+    assert sign_certificate(sol).verdict == "strongly_positive"
+
+
+def test_every_solve_vanishes_exactly_at_the_ends():
+    grid = Grid(UNIT, 200)
+    c = ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes))
+    problem = ProblemSpec(UNIT, 2.0, c, ScalarField.constant(grid, 1.0), d1=-0.5, d2=-1.5)
+    homogeneous = ProblemSpec(UNIT, 2.0, c, ScalarField.constant(grid, 1.0))
+    fields = [
+        direct_solve(problem).u,
+        superposition_solve(problem).u,
+        fixed_point_solve(homogeneous, mode="negative", check_hypotheses=False).solution.u,
+        y_boundary(2.0, c, grid, "a"),
+        y_boundary(2.0, c, grid, "b"),
+    ]
+    for fld in fields:
+        assert fld.values[0] == 0.0
+        assert fld.values[-1] == 0.0
+    G = np.asarray(greens_discrete(2.0, c, grid).values)
+    assert np.all(G[[0, -1], :] == 0.0)
+    assert np.all(G[:, [0, -1]] == 0.0)
+
+
+def _count_factorizations(monkeypatch):
+    from scipy.linalg import lapack
+
+    calls = []
+    factor = lapack.dgbtrf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbtrf", counting)
+    return calls
+
+
+def test_each_operator_is_factored_once(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    run = fixed_point_solve(unit_problem(200, -250.0), mode="negative", tol=1e-10)
+    assert run.solution.iterations >= 2
+    assert len(calls) == 1
+    calls.clear()
+    superposition_solve(unit_problem(200, 40.0, d1=-1.0, d2=-0.5))
+    assert len(calls) == 1  # kernel, both moment responses and the check share it
+    calls.clear()
+    op = assemble(0.0, ScalarField.constant(Grid(UNIT, 200), 0.0))
+    smallest_eigenvalue(op)
+    smallest_eigenvalue(op)
+    assert len(calls) == 1
+    calls.clear()
+    direct_solve(unit_problem(200, 0.0))
+    assert len(calls) == 1
+
+
+def _independent_residual(problem: ProblemSpec, u) -> tuple[float, float]:
+    # the hinged stencil written out row by row, ghost nodes eliminated by hand;
+    # returns the largest interior residual and the size of one extended-precision
+    # rounding of the largest row sum, which bounds how far two summation orders differ
+    n = problem.grid.n
+    dx = problem.grid.spacing
+    inv4, inv2 = dx**-4, dx**-2
+    cv = np.asarray(problem.c.values, dtype=np.float64)
+    A = np.zeros((n + 1, n + 1))
+    for i in range(1, n):
+        for j, coef in ((i - 2, inv4), (i - 1, -4.0 * inv4 - problem.p * inv2),
+                        (i + 1, -4.0 * inv4 - problem.p * inv2), (i + 2, inv4)):
+            if 0 <= j <= n:
+                A[i, j] = coef
+        A[i, i] = 6.0 * inv4 + 2.0 * problem.p * inv2 + cv[i]
+    A[1, 1] -= inv4  # ghost u_{-1} = -u_1 + dx^2 d1
+    A[n - 1, n - 1] -= inv4
+    b = np.array(problem.h.values, dtype=np.float64)
+    b[1] -= problem.d1 * inv2
+    b[n - 1] -= problem.d2 * inv2
+    ul = np.asarray(u, dtype=np.longdouble)
+    r = A[1:n].astype(np.longdouble) @ ul - b[1:n].astype(np.longdouble)
+    floor = float(np.finfo(np.longdouble).eps) * float(np.max(np.abs(A[1:n]) @ np.abs(ul)))
+    return float(np.max(np.abs(r))), floor
+
+
+def test_residual_norm_is_the_residual_of_the_returned_solution():
+    grid = Grid(UNIT, 200)
+    c = ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes))
+    h = ScalarField(grid, 1.0 + 0.5 * np.cos(3.0 * grid.nodes))
+    problem = ProblemSpec(UNIT, 2.0, c, h, d1=-0.5, d2=-1.5)
+    homogeneous = ProblemSpec(UNIT, 2.0, c, h)
+    sols = [
+        direct_solve(problem),
+        superposition_solve(problem),
+        fixed_point_solve(homogeneous, mode="negative", check_hypotheses=False).solution,
+    ]
+    for prob, sol in zip((problem, problem, homogeneous), sols):
+        res, floor = _independent_residual(prob, sol.u.values)
+        assert floor < 1e-9  # far below the residual of u rounded to float64 (~1e-7)
+        assert abs(sol.residual_norm - res) <= floor
+
+
+def test_superposition_meets_the_bound_at_large_n():
+    # at this size a running sum over the kernel row alone rounds u so far that
+    # the residual passes the bound; pairwise row sums keep it four times below
+    grid = Grid(UNIT, 600)
+    c = ScalarField.constant(grid, -662.566)
+    h = ScalarField(grid, 3.3351 * (1.0 + 0.5 * np.sin(np.pi * grid.nodes)))
+    problem = ProblemSpec(UNIT, 50.0, c, h)
+    sup = superposition_solve(problem)
+    assert sup.residual_norm <= 1e-8 * (sup_norm(h) + 1.0)
+    d = direct_solve(problem)
+    gap = np.max(np.abs(np.asarray(sup.u.values - d.u.values, dtype=np.float64)))
+    assert gap < 1e-8 * sup_norm(d.u)
