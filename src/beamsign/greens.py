@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ResonanceError
 from .fields import Grid, ScalarField
-from .solver import OperatorMatrix, _resonance_error, _resolve_grid, _solve_refined, assemble
+from .solver import _resonance_error, _resolve_grid, _solve_refined, assemble
 
 __all__ = [
     "GreensMatrix",
@@ -124,19 +124,16 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     interior block of the operator is.
     """
     grid = _resolve_grid(c.grid, grid)
-    return GreensMatrix(grid, _kernel_values(assemble(p, c, grid)))
-
-
-def _kernel_values(op: OperatorMatrix) -> np.ndarray:
-    n = op.grid.n
-    load = 1.0 / op.grid.spacing
+    op = assemble(p, c, grid)
+    n = grid.n
+    load = 1.0 / grid.spacing
     rhs = np.zeros((n + 1, n + 1))  # columns 0 and n stay zero, and so do theirs in G
     rhs[np.arange(1, n), np.arange(1, n)] = load
     bound = 1e-8 * (load + 1.0)
     vals, res = _solve_refined(op, rhs, bound)
     if not np.isfinite(res) or res > bound:
         raise _resonance_error(op)
-    return vals
+    return GreensMatrix(grid, vals)
 
 
 def y_boundary(p: float, c: ScalarField, grid: Grid | None, side: str) -> ScalarField:
@@ -148,17 +145,14 @@ def y_boundary(p: float, c: ScalarField, grid: Grid | None, side: str) -> Scalar
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     grid = _resolve_grid(c.grid, grid)
-    return ScalarField(grid, _moment_response(assemble(p, c, grid), side))
-
-
-def _moment_response(op: OperatorMatrix, side: str) -> np.ndarray:
-    rhs = np.zeros(op.grid.n + 1)
-    rhs[1 if side == "a" else -2] = -op.grid.spacing**-2
+    op = assemble(p, c, grid)
+    rhs = np.zeros(grid.n + 1)
+    rhs[1 if side == "a" else -2] = -grid.spacing**-2
     bound = 2e-8
     y, res = _solve_refined(op, rhs, bound)
     if not np.isfinite(res) or res > bound:
         raise _resonance_error(op)
-    return y
+    return ScalarField(grid, y)
 
 
 def sign_scan(G: GreensMatrix, grid: Grid | None = None, tol: float | None = None) -> GreensSignReport:

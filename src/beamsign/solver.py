@@ -16,8 +16,11 @@ scale like spacing**-4, a plain float64 solve leaves interior residuals around
 correction with the residual accumulated in extended precision, and by more
 (up to three in all) only while the residual still misses the caller's bound.
 That brings the residual into the 1e-10 range and keeps the strict residual
-contract checkable.  scipy is imported at the first factorization, so code
-that never solves does not load it.
+contract checkable.  The superposition solve forms its kernel and moment
+responses in float64, sums them, and refines only that sum, so its
+extended-precision work is on one vector, never on the n x n kernel.
+scipy is imported at the first factorization, so code that never solves does
+not load it.
 """
 
 from __future__ import annotations
@@ -167,14 +170,18 @@ def _resonance_error(op: OperatorMatrix) -> ResonanceError:
 # solves
 
 
-def _solve_refined(op: OperatorMatrix, rhs, bound: float) -> tuple[np.ndarray, float]:
+def _solve_refined(
+    op: OperatorMatrix, rhs, bound: float, start=None
+) -> tuple[np.ndarray, float]:
     """Solve A x = rhs on the cached factors, refining in extended precision.
 
     ``rhs`` (a vector or a matrix of columns) must vanish in rows 0 and n,
-    so the end components of x are exactly zero.  One correction always
-    runs; more run, up to ``_REFINE_STEPS`` in all, while the largest
-    interior residual exceeds ``bound``.  Returns x in extended precision
-    and that residual (NaN or inf when the solve broke down).
+    so the end components of x are exactly zero.  ``start``, an approximate
+    solution of the same shape, replaces the first float64 solve (its rows
+    0 and n are ignored).  One correction always runs; more run, up to
+    ``_REFINE_STEPS`` in all, while the largest interior residual exceeds
+    ``bound``.  Returns x in extended precision and that residual (NaN or inf
+    when the solve broke down).
     """
     b = np.asarray(rhs, dtype=np.float64)
     if np.any(b[0]) or np.any(b[-1]):
@@ -187,7 +194,7 @@ def _solve_refined(op: OperatorMatrix, rhs, bound: float) -> tuple[np.ndarray, f
         r -= b_ld
         return r.astype(np.float64)
 
-    first = op._solve_interior(b[1:-1])
+    first = op._solve_interior(b[1:-1]) if start is None else np.asarray(start)[1:-1]
     if not np.all(np.isfinite(first)):
         raise _resonance_error(op)
     x = np.zeros(b.shape, dtype=np.longdouble)
@@ -253,27 +260,34 @@ def direct_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionFiel
 
 
 def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionField:
-    """Solve through the discrete kernel: u = G h + d1 y_a + d2 y_b.
+    """Solve through the discrete kernel: u = G (h w) + d1 y_a + d2 y_b.
 
-    The kernel, the moment responses and the final residual check all use
-    one assembled operator and its single factorization.
+    One float64 solve on the operator's single factorization gives the
+    interior block of the kernel G (columns for the scaled unit loads
+    e_j / spacing) and the two moment responses y_a, y_b; their
+    superposition, with the nodal weights w = spacing, is one matrix-vector
+    product.  That sum is then refined as a solution of the operator, so
+    extended precision touches only the returned vector, and the rounding
+    of the kernel and of the sum is corrected with it.  Raises
+    :class:`~beamsign.errors.ResonanceError` under the same residual bound
+    as :func:`direct_solve`.
     """
-    from .greens import _kernel_values, _moment_response  # deferred: greens builds on this module
-
     grid = _resolve_grid(problem.grid, grid)
     op = assemble(problem.p, problem.c, grid)
-    G = _kernel_values(op)
-    w = np.longdouble(grid.spacing)
-    hv = np.asarray(problem.h.values, dtype=np.longdouble)
-    # row sums add pairwise; a matmul's running sum alone rounds u badly enough
-    # that the residual reaches the bound by n = 600
-    u = (G[:, 1:-1] * (hv[1:-1] * w)).sum(axis=1)
-    if problem.d1 != 0.0:
-        u = u + np.longdouble(problem.d1) * _moment_response(op, "a")
-    if problem.d2 != 0.0:
-        u = u + np.longdouble(problem.d2) * _moment_response(op, "b")
+    n = grid.n
+    dx = grid.spacing
+    # columns 0 .. n-2: unit loads at nodes 1 .. n-1; columns n-1, n: unit moments at a, b
+    loads = np.zeros((n - 1, n + 1))
+    np.fill_diagonal(loads, 1.0 / dx)
+    loads[0, n - 1] = -(dx**-2)
+    loads[-1, n] = -(dx**-2)
+    responses = op._solve_interior(loads)
+    hv = np.asarray(problem.h.values, dtype=np.float64)
+    weights = np.concatenate((hv[1:-1] * dx, (problem.d1, problem.d2)))
+    u0 = np.zeros(n + 1)
+    u0[1:-1] = responses @ weights
     bound = _residual_bound(problem)
-    res = _interior_residual(op, u, _rhs_vector(op, problem))
+    u, res = _solve_refined(op, _rhs_vector(op, problem), bound, start=u0)
     if not np.isfinite(res) or res > bound:
         raise _resonance_error(op)
     return SolutionField(ScalarField(grid, u), res, "superposition", 0)
@@ -302,8 +316,11 @@ def fixed_point_solve(
     In ``positive`` mode the frozen coefficient is d = min{c, -lambda2}, in
     ``negative`` mode d = max{c, -lambda3}, which keeps every iterate on the
     sign-definite side while the correction term c - d contracts.  The
-    iteration stops when the sup-norm step drops below ``tol`` and reports
-    the largest observed step ratio as the contraction ratio.
+    iteration stops once the sup-norm step is below ``tol`` and the residual
+    against the true operator meets the bound of :func:`direct_solve`, and
+    reports the largest observed step ratio as the contraction ratio.  It
+    raises :class:`~beamsign.errors.ConvergenceError`, with the residual and
+    the bound in the message, when ``max_iter`` steps do not get there.
 
     Only homogeneous end moments are supported (d1 = d2 = 0).  By default the
     matching amplified-load hypotheses are verified first and a ValueError is
@@ -336,16 +353,21 @@ def fixed_point_solve(
         frozen = np.minimum(cv, -sd.lambda2)
     else:
         frozen = np.maximum(cv, -sd.lambda3)
-    correction = cv - frozen
     op = assemble(problem.p, ScalarField(grid, frozen), grid)
+    op_true = assemble(problem.p, problem.c, grid)
+    # c - d taken as the difference of the two assembled diagonals: these round
+    # c to about 1e-5 at n = 400, and with c - d itself the iterates would
+    # converge to the solution of a slightly different operator
+    correction = op_true.band[2] - op.band[2]
     hv = np.asarray(problem.h.values, dtype=np.float64)
+    rhs_true = _rhs_vector(op_true, problem)
     static_rhs = not np.any(correction)
 
     bound = _residual_bound(problem)
     u = np.zeros(grid.n + 1, dtype=np.longdouble)
     iterates: list[ScalarField] = []
     diffs: list[float] = []
-    converged = False
+    res = None  # true-operator residual, taken once the steps have settled
     for _ in range(max_iter):
         rhs = hv - correction * np.asarray(u, dtype=np.float64)
         rhs[0] = 0.0
@@ -355,18 +377,25 @@ def fixed_point_solve(
         iterates.append(ScalarField(grid, x))
         diffs.append(step)
         u = x
-        if static_rhs or step < tol:
-            converged = True
+        settled = static_rhs or step < tol
+        res = _interior_residual(op_true, u, rhs_true) if settled else None
+        # a static right-hand side would only repeat the same solve
+        if settled and (res <= bound or static_rhs):
             break
     ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0]
     ratio = max(ratios) if ratios else 0.0
-    if not converged:
+    last_ratio = ratios[-1] if ratios else None
+    if res is None:
         raise ConvergenceError(
             f"fixed-point iteration did not reach tol = {tol} within {max_iter} steps",
-            last_ratio=ratios[-1] if ratios else None,
+            last_ratio=last_ratio,
         )
-    op_true = assemble(problem.p, problem.c, grid)
-    res = _interior_residual(op_true, u, _rhs_vector(op_true, problem))
+    if not res <= bound:
+        raise ConvergenceError(
+            f"fixed-point iteration stopped after {len(iterates)} steps with residual "
+            f"{res:.3e}, which exceeds the bound {bound:.3e}",
+            last_ratio=last_ratio,
+        )
     sol = SolutionField(ScalarField(grid, u), res, "fixed_point", len(iterates))
     return FixedPointRun(solution=sol, iterates=iterates, diffs=diffs, contraction_ratio=ratio)
 

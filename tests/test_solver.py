@@ -382,8 +382,8 @@ def test_residual_norm_is_the_residual_of_the_returned_solution():
 
 
 def test_superposition_meets_the_bound_at_large_n():
-    # at this size a running sum over the kernel row alone rounds u so far that
-    # the residual passes the bound; pairwise row sums keep it four times below
+    # at this size the rounding of the kernel sum G (h w) alone puts the residual
+    # past the bound; refining the sum against the operator brings it back below
     grid = Grid(UNIT, 600)
     c = ScalarField.constant(grid, -662.566)
     h = ScalarField(grid, 3.3351 * (1.0 + 0.5 * np.sin(np.pi * grid.nodes)))
@@ -393,3 +393,66 @@ def test_superposition_meets_the_bound_at_large_n():
     d = direct_solve(problem)
     gap = np.max(np.abs(np.asarray(sup.u.values - d.u.values, dtype=np.float64)))
     assert gap < 1e-8 * sup_norm(d.u)
+
+
+def test_superposition_refines_only_vectors_in_extended_precision(monkeypatch):
+    from beamsign import solver
+
+    shapes = []
+    matvec = solver._band_matvec
+
+    def recording(band, u):
+        shapes.append(u.ndim)
+        return matvec(band, u)
+
+    monkeypatch.setattr(solver, "_band_matvec", recording)
+    grid = Grid(UNIT, 200)
+    c = ScalarField(grid, 40.0 + 30.0 * np.sin(np.pi * grid.nodes))
+    problem = ProblemSpec(UNIT, 5.0, c, ScalarField.constant(grid, 1.0), d1=-0.5, d2=-1.5)
+    superposition_solve(problem)
+    assert shapes and all(ndim == 1 for ndim in shapes)
+
+
+def test_superposition_is_the_sum_of_kernel_and_moment_responses():
+    grid = Grid(UNIT, 200)
+    p = 5.0
+    c = ScalarField(grid, -60.0 + 40.0 * np.cos(2.0 * grid.nodes))
+    h = ScalarField(grid, 1.0 + 0.5 * np.sin(3.0 * np.pi * grid.nodes))
+    problem = ProblemSpec(UNIT, p, c, h, d1=-0.7, d2=-1.3)
+    G = np.asarray(greens_discrete(p, c, grid).values, dtype=np.float64)
+    y_a = np.asarray(y_boundary(p, c, grid, "a").values, dtype=np.float64)
+    y_b = np.asarray(y_boundary(p, c, grid, "b").values, dtype=np.float64)
+    hw = np.asarray(h.values, dtype=np.float64) * grid.spacing
+    expected = G @ hw - 0.7 * y_a - 1.3 * y_b
+    u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
+    assert np.max(np.abs(u - expected)) <= 1e-8 * np.max(np.abs(expected))
+
+
+def _fixed_point_residual_problem():
+    # the assembled diagonal rounds c to about 1e-5 here; iterating with the
+    # unrounded c - d converged to u with a residual of 8.7e-8 against 2e-8
+    grid = Grid(UNIT, 400)
+    c = ScalarField(grid, -250.0 + 20.0 * np.sin(np.pi * grid.nodes))
+    return ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0))
+
+
+def test_fixed_point_meets_the_residual_bound():
+    problem = _fixed_point_residual_problem()
+    run = fixed_point_solve(problem, mode="negative", tol=1e-10)
+    bound = 1e-8 * (sup_norm(problem.h) + 1.0)
+    assert run.solution.residual_norm <= bound
+    res, floor = _independent_residual(problem, run.solution.u.values)
+    assert abs(run.solution.residual_norm - res) <= floor
+    # a loose tol no longer stops the iteration before the residual is met
+    loose = fixed_point_solve(problem, mode="negative", tol=1.0)
+    assert loose.solution.residual_norm <= bound
+    assert loose.solution.iterations >= 2
+
+
+def test_fixed_point_reports_a_missed_residual_bound():
+    problem = _fixed_point_residual_problem()
+    with pytest.raises(ConvergenceError) as info:
+        fixed_point_solve(problem, mode="negative", tol=1.0, max_iter=1)
+    message = str(info.value)
+    assert "residual" in message
+    assert "bound 2.000e-08" in message
