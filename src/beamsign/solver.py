@@ -17,8 +17,9 @@ correction with the residual accumulated in extended precision, and by more
 (up to three in all) only while the residual still misses the caller's bound.
 That brings the residual into the 1e-10 range and keeps the strict residual
 contract checkable.  The superposition solve forms its kernel and moment
-responses in float64, sums them, and refines only that sum, so its
-extended-precision work is on one vector, never on the n x n kernel.
+responses in float64, sums them, refines only that sum, and checks that the
+sum agrees with the refined solution, so its extended-precision work is on
+one vector, never on the n x n kernel.
 scipy is imported at the first factorization, so code that never solves does
 not load it.
 """
@@ -49,6 +50,11 @@ __all__ = [
 ]
 
 _REFINE_STEPS = 3
+# largest gap, relative to sup|u|, allowed between the float64 kernel sum and
+# the refined solution: rounding gives up to 7e-9 at n = 250 and 2.3e-7 at
+# n = 1000, while at n = 200 a zeroed or shifted load column, all load columns
+# scaled by 1.001, or the two moment columns swapped move the sum by 6e-5 or more
+_SUPERPOSITION_RTOL = 1e-5
 
 
 def _resolve_grid(own: Grid, given: Grid | None) -> Grid:
@@ -154,12 +160,12 @@ def _band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
 # resonance reporting
 
 
-def _resonance_error(op: OperatorMatrix) -> ResonanceError:
+def _resonance_error(op: OperatorMatrix, cause: str = "") -> ResonanceError:
     c_m, c_sup = extrema(op.c)
     k, _ = nearest_mode(op.p, op.grid.interval, c_m, c_sup)
     val = -lambda_k(op.p, op.grid.interval, k)
     return ResonanceError(
-        f"discrete operator is singular or near resonance: the coefficient range "
+        f"{cause}discrete operator is singular or near resonance: the coefficient range "
         f"[{c_m:.6g}, {c_sup:.6g}] sits nearest -lambda_{k} = {val:.10g}",
         nearest_eigenvalue=val,
         index=k,
@@ -178,7 +184,9 @@ def _solve_refined(
     ``rhs`` (a vector or a matrix of columns) must vanish in rows 0 and n,
     so the end components of x are exactly zero.  ``start``, an approximate
     solution of the same shape, replaces the first float64 solve (its rows
-    0 and n are ignored).  One correction always runs; more run, up to
+    0 and n are ignored); the correction leaves no trace of it beyond
+    rounding, so a caller that needs ``start`` to be right checks it against
+    the result.  One correction always runs; more run, up to
     ``_REFINE_STEPS`` in all, while the largest interior residual exceeds
     ``bound``.  Returns x in extended precision and that residual (NaN or inf
     when the solve broke down).
@@ -267,10 +275,11 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     e_j / spacing) and the two moment responses y_a, y_b; their
     superposition, with the nodal weights w = spacing, is one matrix-vector
     product.  That sum is then refined as a solution of the operator, so
-    extended precision touches only the returned vector, and the rounding
-    of the kernel and of the sum is corrected with it.  Raises
-    :class:`~beamsign.errors.ResonanceError` under the same residual bound
-    as :func:`direct_solve`.
+    extended precision touches only the returned vector.  Refinement would
+    correct any start, so the sum must also agree with the refined u to
+    ``_SUPERPOSITION_RTOL`` * sup|u|: that check is what makes G answer for
+    the result.  Raises :class:`~beamsign.errors.ResonanceError` when the
+    check fails or under the same residual bound as :func:`direct_solve`.
     """
     grid = _resolve_grid(problem.grid, grid)
     op = assemble(problem.p, problem.c, grid)
@@ -290,6 +299,15 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     u, res = _solve_refined(op, _rhs_vector(op, problem), bound, start=u0)
     if not np.isfinite(res) or res > bound:
         raise _resonance_error(op)
+    uf = np.asarray(u, dtype=np.float64)
+    gap = float(np.max(np.abs(u0 - uf)))
+    scale = float(np.max(np.abs(uf)))
+    if not gap <= _SUPERPOSITION_RTOL * scale:
+        raise _resonance_error(
+            op,
+            f"the kernel sum G (h w) + d1 y_a + d2 y_b misses the refined solution by "
+            f"{gap:.3e} > {_SUPERPOSITION_RTOL:g} * sup|u| = {_SUPERPOSITION_RTOL * scale:.3e}; ",
+        )
     return SolutionField(ScalarField(grid, u), res, "superposition", 0)
 
 

@@ -428,6 +428,51 @@ def test_superposition_is_the_sum_of_kernel_and_moment_responses():
     assert np.max(np.abs(u - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
+def _swap_moment_columns(r):
+    return r[:, list(range(r.shape[1] - 2)) + [-1, -2]]
+
+
+def _drop_one_load_column(r):
+    r = r.copy()
+    r[:, 100] = 0.0
+    return r
+
+
+def _misscale_load_columns(r):
+    r = r.copy()
+    r[:, :-2] *= 1.001
+    return r
+
+
+def _shift_load_columns(r):
+    return np.concatenate((r[:, 1:-2], r[:, :1], r[:, -2:]), axis=1)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_swap_moment_columns, _drop_one_load_column, _misscale_load_columns, _shift_load_columns],
+)
+def test_superposition_rejects_a_wrong_kernel_column(monkeypatch, corrupt):
+    # refinement alone would turn any start into the solution; the kernel sum
+    # must still agree with it, so a wrong column cannot go unnoticed
+    from beamsign import solver
+
+    solve = solver.OperatorMatrix._solve_interior
+
+    def corrupted(self, rhs):
+        out = solve(self, rhs)
+        return corrupt(out) if out.ndim == 2 else out
+
+    grid = Grid(UNIT, 200)
+    c = ScalarField(grid, -60.0 + 40.0 * np.cos(2.0 * grid.nodes))
+    h = ScalarField(grid, 1.0 + 0.5 * np.sin(3.0 * np.pi * grid.nodes))
+    problem = ProblemSpec(UNIT, 5.0, c, h, d1=-0.7, d2=-1.3)
+    superposition_solve(problem)
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", corrupted)
+    with pytest.raises(ResonanceError, match="kernel sum"):
+        superposition_solve(problem)
+
+
 def _fixed_point_residual_problem():
     # the assembled diagonal rounds c to about 1e-5 here; iterating with the
     # unrounded c - d converged to u with a residual of 8.7e-8 against 2e-8
