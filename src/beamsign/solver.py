@@ -20,6 +20,17 @@ contract checkable.  The superposition solve forms its kernel and moment
 responses in float64, sums them, refines only that sum, and checks that the
 sum agrees with the refined solution, so its extended-precision work is on
 one vector, never on the n x n kernel.
+
+The discrete kernel (``greens.greens_discrete``), whose bound
+1e-8 (1/spacing + 1) grows with n, skips refinement whenever float64 work
+alone proves it unnecessary: the float64 residual r = A x - b of each row,
+a sum of at most six terms, is off by at most
+gamma_7 (max_i sum_j |a_ij| max|x| + max|b|), gamma_k = k u / (1 - k u),
+u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+2002, sections 3.1 and 12.1), so max|r| plus twice that slack bounds the
+exact residual.  The solves with bounds that do not grow with n
+(direct, superposition, moment responses) always refine.
+
 scipy is imported at the first factorization, so code that never solves does
 not load it.
 """
@@ -235,6 +246,32 @@ def _interior_residual(op: OperatorMatrix, x_ld: np.ndarray, rhs) -> float:
     r = _band_matvec(op.band_extended(), np.asarray(x_ld, dtype=np.longdouble))
     r -= np.asarray(rhs, dtype=np.longdouble)
     return float(np.max(np.abs(r[1:-1])))
+
+
+# gamma_7 = 7 u / (1 - 7 u) with the unit roundoff u = 2**-53 (Higham 2002, Lemma 3.1)
+_GAMMA7 = 7 * 2.0**-53 / (1.0 - 7 * 2.0**-53)
+
+
+def _float64_residual_certified(op: OperatorMatrix, x: np.ndarray, rhs: np.ndarray, bound: float) -> bool:
+    """True when the float64 ``x`` provably meets max interior |A x - rhs| <= ``bound``.
+
+    ``x`` and ``rhs`` are vectors or matrices of columns with n + 1 rows, both
+    zero in rows 0 and n.  Each interior row of r = A x - rhs is a sum of at
+    most six terms, so its float64 evaluation is off by at most
+    gamma_7 (sum_j |a_ij| max|x| + max|rhs|) (Higham 2002, sections 3.1 and
+    12.1); twice that also covers the rounding of this bound itself.  The
+    residual is formed only when that slack leaves room for it, and nothing
+    here is computed in extended precision.
+    """
+    n = op.grid.n
+    band = op.band[:, 1:-1]
+    row_sum = float(np.max(_band_matvec(np.abs(band), np.ones(n - 1))))
+    slack = 2.0 * _GAMMA7 * (row_sum * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
+    if not slack < bound:
+        return False
+    r = _band_matvec(band, x[1:-1])
+    r -= rhs[1:-1]
+    return float(np.max(np.abs(r))) + slack <= bound
 
 
 def _residual_bound(problem: ProblemSpec) -> float:

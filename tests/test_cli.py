@@ -296,6 +296,23 @@ def test_cli_import_leaves_out_scipy_integrate_and_optimize():
     assert done.stdout.strip() == "[]"
 
 
+def test_module_form_runs_the_command_line(capsys):
+    # python -m beamsign.cli did nothing and exited 0 without a __main__ block
+    src = str(Path(beamsign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["spectrum", "--p", "0"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+    done = subprocess.run([sys.executable, "-m", "beamsign.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
+    done = subprocess.run([sys.executable, "-m", "beamsign.cli", "solve"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: input:")
+
+
 def test_spectrum_and_check_leave_out_scipy_linalg(tmp_path):
     # scipy.linalg is loaded at the first factorization, so commands that never
     # solve skip its few hundred milliseconds of import

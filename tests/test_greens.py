@@ -12,7 +12,7 @@ from beamsign.greens import (
     y_boundary,
 )
 from beamsign.solver import assemble, smallest_eigenvalue
-from beamsign.spectrum import lambda_k
+from beamsign.spectrum import SpectralData, lambda_k
 
 UNIT = Interval(0.0, 1.0)
 
@@ -95,6 +95,77 @@ def test_greens_discrete_resonance():
     with pytest.raises(ResonanceError) as info:
         greens_discrete(0.0, ScalarField.constant(grid, -lam1), grid)
     assert info.value.index == 1
+
+
+def _kernel_residual(p: float, c: ScalarField, G: np.ndarray) -> float:
+    # max interior |A G - I / spacing| with the hinged stencil written out by
+    # hand (ghost nodes eliminated), summed in long double from the same
+    # float64 matrix entries that assemble() stores
+    grid = c.grid
+    n = grid.n
+    dx = grid.spacing
+    inv4, inv2 = dx**-4, dx**-2
+    diag = 6.0 * inv4 + 2.0 * p * inv2 + np.asarray(c.values, dtype=np.float64)[1:n]
+    diag[0] -= inv4
+    diag[-1] -= inv4
+    near = -4.0 * inv4 - p * inv2
+    assert np.all(G[[0, -1], :] == 0.0)  # so the ghost-row entries A[1, 0], A[n-1, n] drop out
+    U = np.zeros((n + 3, n + 1), dtype=np.longdouble)  # U[k + 1] = G[k], k = -1 .. n + 1
+    U[1:-1] = G
+    r = diag.astype(np.longdouble)[:, None] * U[2:n + 1]
+    r += np.longdouble(near) * (U[1:n] + U[3:n + 2])
+    r += np.longdouble(inv4) * (U[0:n - 1] + U[4:n + 3])
+    r[np.arange(n - 1), np.arange(1, n)] -= np.longdouble(1.0 / dx)
+    return float(np.max(np.abs(r)))
+
+
+def test_greens_discrete_float64_certificate_is_sound(monkeypatch):
+    from beamsign import greens
+
+    refined = []
+    solve_refined = greens._solve_refined
+
+    def recording(*args, **kwargs):
+        refined.append(1)
+        return solve_refined(*args, **kwargs)
+
+    monkeypatch.setattr(greens, "_solve_refined", recording)
+    certified = 0
+    for n in (50, 200, 250):
+        grid = Grid(UNIT, n)
+        bound = 1e-8 * (1.0 / grid.spacing + 1.0)
+        bump = np.sin(np.pi * grid.nodes)
+        for p in (0.0, 5.0, 50.0):
+            sd = SpectralData.compute(p, UNIT)
+            # the four kernel zones: positive kernel below and above 0, negative
+            # kernel in [-lambda3, -lambda1), sign-changing past -lambda2
+            zones = ((-0.9 * sd.lambda1, -0.1 * sd.lambda1), (0.0, 0.9 * -sd.lambda2),
+                     (-0.97 * sd.lambda3, -1.1 * sd.lambda1), (1.1 * -sd.lambda2, 2.0 * -sd.lambda2))
+            for lo, hi in zones:
+                for cv in (np.full(n + 1, 0.5 * (lo + hi)), lo + (hi - lo) * bump):
+                    c = ScalarField(grid, cv)
+                    refined.clear()
+                    G = greens_discrete(p, c, grid)
+                    if refined:
+                        continue
+                    certified += 1
+                    assert G.values.dtype == np.float64
+                    assert _kernel_residual(p, c, G.values) <= bound
+    assert certified >= 54  # 62 of the 72 certify; near resonance the rest refine
+    # a certificate that uses most of its bound: for c = 0, p = 0 at n = 220 the
+    # rounding slack 2 gamma_7 (16 / spacing^4 max|G| + 1 / spacing) alone is
+    # more than half of 1e-8 (1 / spacing + 1)
+    grid = Grid(UNIT, 220)
+    c = ScalarField.constant(grid, 0.0)
+    refined.clear()
+    G = greens_discrete(0.0, c, grid)
+    assert not refined
+    bound = 1e-8 * (1.0 / grid.spacing + 1.0)
+    u = 2.0**-53
+    row_sum = 16.0 / grid.spacing**4  # sum_j |a_ij| for p = 0, c = 0
+    slack = 2.0 * (7 * u / (1 - 7 * u)) * (row_sum * np.max(np.abs(G.values)) + 1.0 / grid.spacing)
+    assert bound / 2.0 < slack < bound
+    assert _kernel_residual(0.0, c, G.values) <= bound
 
 
 def test_greens_discrete_reproduces_direct_solutions():

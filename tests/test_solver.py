@@ -336,6 +336,42 @@ def test_each_operator_is_factored_once(monkeypatch):
     calls.clear()
     direct_solve(unit_problem(200, 0.0))
     assert len(calls) == 1
+    # greens_discrete: at n = 200 its float64 kernel is certified, so nothing
+    # is computed in extended precision
+    from beamsign import solver
+
+    def no_extended(self):
+        raise AssertionError("extended-precision work on the certified path")
+
+    calls.clear()
+    grid = Grid(UNIT, 200)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver.OperatorMatrix, "band_extended", no_extended)
+        G = greens_discrete(0.0, ScalarField.constant(grid, 0.0), grid)
+    assert len(calls) == 1
+    assert G.values.dtype == np.float64
+    # at n = 400 the certificate misses: the first solve is the load matrix, and
+    # the refined corrections start from it without solving it again
+    solve = solver.OperatorMatrix._solve_interior
+    rhs_seen = []
+
+    def recording(self, rhs):
+        rhs_seen.append(np.array(rhs))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", recording)
+    calls.clear()
+    grid = Grid(UNIT, 400)
+    G = greens_discrete(0.0, ScalarField.constant(grid, 0.0), grid)
+    assert len(calls) == 1
+    loads = np.zeros((grid.n - 1, grid.n + 1))
+    loads[np.arange(grid.n - 1), np.arange(1, grid.n)] = 1.0 / grid.spacing
+    assert len(rhs_seen) >= 2
+    assert [np.array_equal(rhs, loads) for rhs in rhs_seen] == [True] + [False] * (len(rhs_seen) - 1)
+    op = assemble(0.0, ScalarField.constant(grid, 0.0), grid)
+    r = op.apply(np.asarray(G.values, dtype=np.longdouble))[1:-1, 1:-1]
+    r -= np.diag(np.full(grid.n - 1, 1.0 / grid.spacing))
+    assert float(np.max(np.abs(r))) <= 1e-8 * (1.0 / grid.spacing + 1.0)
 
 
 def _independent_residual(problem: ProblemSpec, u) -> tuple[float, float]:
