@@ -27,6 +27,12 @@ __all__ = [
 ]
 
 
+def require_p(p: float) -> None:
+    """Raise ValueError unless the coefficient p is finite and nonnegative."""
+    if not (np.isfinite(p) and p >= 0):
+        raise ValueError(f"p must be finite and nonnegative, got {p}")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [a, b] with finite endpoints and a < b."""
@@ -119,8 +125,7 @@ class ProblemSpec:
     d2: float = 0.0
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError(f"p must be nonnegative, got {self.p}")
+        require_p(self.p)
         if self.d1 > 0 or self.d2 > 0:
             raise ValueError(
                 f"end moments must be nonpositive, got d1 = {self.d1}, d2 = {self.d2}"
@@ -201,8 +206,7 @@ def diff(f: ScalarField, order: int) -> ScalarField:
 
 def energy_norm(u: ScalarField, p: float, r: ScalarField) -> float:
     """sqrt( int u''^2 + p int u'^2 + int r u^2 ) with p >= 0 and r >= 0."""
-    if p < 0:
-        raise ValueError(f"p must be nonnegative, got {p}")
+    require_p(p)
     if u.grid != r.grid:
         raise ValueError("u and r must share a grid")
     if extrema(r)[0] < 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResonanceError
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, require_p
 from .solver import (
     _float64_residual_certified,
     _resolve_grid,
@@ -85,8 +85,7 @@ def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> Greens
     change of the modal denominators.  A denominator within 1e-9 of zero is
     reported as resonance.
     """
-    if p < 0:
-        raise ValueError(f"p must be nonnegative, got {p}")
+    require_p(p)
     if terms < 50:
         raise ValueError(f"the series needs at least 50 terms, got {terms}")
     L = grid.interval.length

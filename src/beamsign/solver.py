@@ -31,18 +31,26 @@ u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 exact residual.  The solves with bounds that do not grow with n
 (direct, superposition, moment responses) always refine.
 
-scipy is imported at the first factorization, so code that never solves does
-not load it.
+LAPACK comes from scipy's compiled ``scipy.linalg._flapack`` extension, which
+is loaded directly at the first factorization (see ``_lapack``).  Importing
+``scipy.linalg`` would load the same extension and, with it, a few hundred
+milliseconds of unrelated modules (scipy's array-API layer pulls in
+``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``numpy.random``), most of
+a command-line call; code that never solves loads neither.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, ResonanceError
-from .fields import Grid, ProblemSpec, ScalarField, diff, extrema, integrate, sup_norm
+from .fields import Grid, ProblemSpec, ScalarField, diff, extrema, integrate, require_p, sup_norm
 from .spectrum import SpectralData, delta1, lambda_k, nearest_mode
 
 __all__ = [
@@ -76,6 +84,35 @@ def _resolve_grid(own: Grid, given: Grid | None) -> Grid:
     return own
 
 
+def _lapack():
+    """scipy's compiled LAPACK wrappers, the module behind ``scipy.linalg.lapack``.
+
+    Returns the module from ``sys.modules`` once it is loaded, by this
+    function or by ``scipy.linalg``; otherwise finds the extension in scipy's
+    ``linalg`` directory and executes it on its own, registered under its
+    own name, so a later ``import scipy.linalg`` shares the same module.
+    ``import scipy`` comes first: it is cheap and sets up the shared-library
+    path that scipy's extensions need on some platforms.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = importlib.machinery.FileFinder(
+        directory,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"cannot find {name} in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -105,8 +142,7 @@ class OperatorMatrix:
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
         """Interior-block solve in float64; ``rhs`` has n - 1 rows."""
-        from scipy.linalg import lapack  # deferred: importing scipy.linalg costs ~0.3 s
-
+        lapack = _lapack()  # loaded at the first solve, without scipy.linalg
         if self._lu is None:
             ab = np.zeros((7, self.grid.n - 1), order="F")
             ab[2:] = self.band[:, 1:-1]  # gbtrf keeps two extra rows for fill-in
@@ -131,8 +167,7 @@ class OperatorMatrix:
 def assemble(p: float, c: ScalarField, grid: Grid | None = None) -> OperatorMatrix:
     """Banded matrix of u'''' - p u'' + c(t) u with the hinged end rows."""
     grid = _resolve_grid(c.grid, grid)
-    if p < 0:
-        raise ValueError(f"p must be nonnegative, got {p}")
+    require_p(p)
     n = grid.n
     dx = grid.spacing
     inv4 = dx**-4
@@ -386,7 +421,7 @@ def fixed_point_solve(
         raise ValueError("fixed-point iteration supports homogeneous end moments only (d1 = d2 = 0)")
     if mode not in ("positive", "negative"):
         raise ValueError(f"mode must be 'positive' or 'negative', got {mode!r}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RootSearchError
-from .fields import Interval, ScalarField, extrema
+from .fields import Interval, ScalarField, extrema, require_p
 
 __all__ = [
     "SpectralData",
@@ -46,14 +46,9 @@ __all__ = [
 ]
 
 
-def _require_p(p: float) -> None:
-    if p < 0:
-        raise ValueError(f"p must be nonnegative, got {p}")
-
-
 def lambda_k(p: float, interval: Interval, k: int) -> float:
     """k-th eigenvalue (k pi/L)^4 + p (k pi/L)^2 of the hinged operator."""
-    _require_p(p)
+    require_p(p)
     if k < 1:
         raise ValueError(f"mode number k must be a positive integer, got {k}")
     w = k * np.pi / interval.length
@@ -102,11 +97,14 @@ def lambda2(p: float, interval: Interval) -> float:
     tan x / x = tanh y / y, whose least positive root is the only one in
     (pi, 3 pi/2) (see the module docstring); lam = ((q^2 + p) / 2)^2.
     """
-    _require_p(p)
+    require_p(p)
     L = interval.length
     x = _tan_tanh_root(0.5 * p * L * L, "lambda2")
     q = 2.0 * x / L
-    return -(0.5 * (q * q + p)) ** 2
+    try:
+        return -(0.5 * (q * q + p)) ** 2
+    except OverflowError:
+        raise ValueError(f"lambda2 overflows float64 at p = {p}") from None
 
 
 def lambda3(p: float, interval: Interval) -> float:
@@ -121,7 +119,7 @@ def lambda3(p: float, interval: Interval) -> float:
     reads tan x / x = tanh y / y, whose least positive root is the only one
     in (pi, 3 pi/2) (see the module docstring); lam = q^2 (q^2 + 2 p) / 4.
     """
-    _require_p(p)
+    require_p(p)
     L = interval.length
     x = _tan_tanh_root(p * L * L, "lambda3")
     q2 = 2.0 * (x / L) ** 2
@@ -134,7 +132,7 @@ def lambda3(p: float, interval: Interval) -> float:
 
 def delta1(p: float, interval: Interval) -> float:
     """Contraction threshold max{ 4 p / L, 4 pi^2 / L^3 }."""
-    _require_p(p)
+    require_p(p)
     L = interval.length
     return max(4.0 * p / L, 4.0 * np.pi**2 / L**3)
 
@@ -147,7 +145,7 @@ def delta1_alt(p: float, interval: Interval) -> float:
     reported alongside it by the command line front end whenever the two
     differ, i.e. whenever L != 1.
     """
-    _require_p(p)
+    require_p(p)
     L = interval.length
     return max(4.0 * p / L, 4.0 * np.pi**2 / L**1.5)
 

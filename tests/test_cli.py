@@ -313,18 +313,63 @@ def test_module_form_runs_the_command_line(capsys):
     assert done.stderr.startswith("error: input:")
 
 
-def test_spectrum_and_check_leave_out_scipy_linalg(tmp_path):
-    # scipy.linalg is loaded at the first factorization, so commands that never
-    # solve skip its few hundred milliseconds of import
+def test_commands_leave_out_scipy_linalg(tmp_path):
+    # the solver loads scipy's LAPACK extension on its own, so no command pays
+    # the few hundred milliseconds of importing scipy.linalg and what it pulls in
     src = str(Path(beamsign.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     path = write_problem(tmp_path, BASE.format(c=-900))
-    for argv in (["spectrum", "--p", "5", "--a", "0", "--b", "2"], ["check", str(path)]):
+    positive = write_problem(tmp_path, BASE.format(c=0), "positive.txt")
+    for argv in (
+        ["spectrum", "--p", "5", "--a", "0", "--b", "2"],
+        ["check", str(path)],
+        ["verify", str(positive)],
+        ["solve", str(positive), "--out", str(tmp_path / "u.csv")],
+        ["sweep", str(positive), "--param", "c", "--from", "0", "--to", "-300",
+         "--steps", "3", "--out", str(tmp_path / "sweep.csv")],
+        ["greens", "--m", "0", "--n", "50", "--out", str(tmp_path / "g.csv")],
+    ):
         code = (
             "import sys, beamsign, beamsign.cli; "
             f"code = beamsign.cli.run({argv!r}); "
-            "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)"
+            "print(code, [m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing') "
+            "if m in sys.modules], file=sys.stderr)"
         )
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stderr.strip().splitlines()[-1] == "0 False", done.stderr
+        assert done.stderr.strip().splitlines()[-1] == "0 []", (argv[0], done.stderr)
+
+
+def test_nonfinite_p_is_an_input_error(tmp_path, capsys):
+    # NaN slipped past every p < 0 check and surfaced as a numerical failure
+    for p in ("nan", "inf"):
+        assert run(["spectrum", "--p", p]) == 1
+        assert capsys.readouterr().err == f"error: input: p must be finite and nonnegative, got {p}\n"
+        assert run(["greens", "--m", "0", "--p", p, "--out", str(tmp_path / "g.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: input: p must be finite")
+        path = write_problem(tmp_path, BASE.format(c=0).replace("p = 0", f"p = {p}"), f"{p}.txt")
+        assert run(["check", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: input: p must be finite")
+    assert not (tmp_path / "g.csv").exists()
+
+
+def test_lambda2_overflow_is_an_input_error(tmp_path, capsys):
+    assert run(["spectrum", "--p", "1e150"]) == 0
+    assert "lambda2        = -2.4999999999999998e+299\n" in capsys.readouterr().out
+    assert run(["spectrum", "--p", "1e160"]) == 1
+    assert capsys.readouterr().err == "error: input: lambda2 overflows float64 at p = 1e+160\n"
+    path = write_problem(tmp_path, BASE.format(c=0).replace("p = 0", "p = 1e160"))
+    assert run(["check", str(path)]) == 1
+    assert "lambda2 overflows float64 at p = 1e+160" in capsys.readouterr().err
+
+
+def test_nan_fixed_point_tolerance_is_an_input_error(tmp_path, capsys):
+    text = (
+        "interval.a = 0\ninterval.b = 1\np = 0\n"
+        "c.kind = expression\nc.expr = -250 + 20*sin(pi*t)\n"
+        "h.kind = constant\nh.value = 1\n"
+        "grid.n = 200\nsolver.method = fixed-point\nsolver.tol = nan\n"
+    )
+    path = write_problem(tmp_path, text)
+    assert run(["solve", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "error: input: tol must be positive, got nan\n"

@@ -307,8 +307,14 @@ def test_every_solve_vanishes_exactly_at_the_ends():
 
 
 def _count_factorizations(monkeypatch):
-    from scipy.linalg import lapack
+    # patch the LAPACK module the solver calls, which is scipy.linalg's own
+    # once scipy.linalg is imported
+    import scipy.linalg
 
+    from beamsign import solver
+
+    lapack = solver._lapack()
+    assert lapack.dgbtrf is scipy.linalg.lapack.dgbtrf
     calls = []
     factor = lapack.dgbtrf
 
