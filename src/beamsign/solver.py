@@ -21,15 +21,23 @@ responses in float64, sums them, refines only that sum, and checks that the
 sum agrees with the refined solution, so its extended-precision work is on
 one vector, never on the n x n kernel.
 
-The discrete kernel (``greens.greens_discrete``), whose bound
-1e-8 (1/spacing + 1) grows with n, skips refinement whenever float64 work
-alone proves it unnecessary: the float64 residual r = A x - b of each row,
-a sum of at most six terms, is off by at most
-gamma_7 (max_i sum_j |a_ij| max|x| + max|b|), gamma_k = k u / (1 - k u),
-u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-2002, sections 3.1 and 12.1), so max|r| plus twice that slack bounds the
-exact residual.  The solves with bounds that do not grow with n
-(direct, superposition, moment responses) always refine.
+The discrete kernel (``greens.greens_discrete``) is not solved on that band.
+Its entries 6/spacing**4 + 2 p/spacing**2 + c round c away at large n, so a
+kernel refined against them converges to the rounded band, not to the
+operator A = L**2 + p L + C (L the Dirichlet second-difference matrix).  The
+kernel comes from the split system M instead: with v = L u, each interior
+equation is L u - v = 0 and L v + p v + c u = f, the unknowns are interleaved
+as (u_1, v_1, u_2, v_2, ...), and M is again a (2, 2) band, on 2 (n - 1)
+rows, in which c never meets a spacing**-4 term.  Its LU factors come with a
+forward-error bound computed once per factorization, in O(n), without a
+residual: the backward error of a solve is bounded by |P L| |U| (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sections
+3.1, 8.1 and 9.3) and multiplied by LAPACK's condition estimate (``gbcon``).
+Solves run with M^T, whose backward error takes the column sums of
+|P L| |U|, since partial pivoting leaves every column of L with three
+entries but lets a row collect hundreds (see ``_lu_column_sums``).  As A is
+symmetric, M^T y = (e_j, 0) gives A^-1 e_j in the v-rows of y.  Nothing is
+computed in extended precision there.
 
 LAPACK comes from scipy's compiled ``scipy.linalg._flapack`` extension, which
 is loaded directly at the first factorization (see ``_lapack``).  Importing
@@ -69,6 +77,8 @@ __all__ = [
 ]
 
 _REFINE_STEPS = 3
+# gamma_13 = 13 u / (1 - 13 u) with the unit roundoff u = 2**-53 (Higham 2002, Lemma 3.1)
+_GAMMA13 = 13 * 2.0**-53 / (1.0 - 13 * 2.0**-53)
 # largest gap, relative to sup|u|, allowed between the float64 kernel sum and
 # the refined solution: rounding gives up to 7e-9 at n = 250 and 2.3e-7 at
 # n = 1000, while at n = 200 a zeroed or shifted load column, all load columns
@@ -125,7 +135,9 @@ class OperatorMatrix:
     the boundary value conditions; rows 1 and n - 1 carry the ghost-eliminated
     stencils encoding the end moment conditions (their d1/d2 data lands on the
     right-hand side, not in the matrix).  The LU factors of the interior block
-    are computed at the first solve and kept for every later one.
+    are computed at the first solve and kept for every later one, and so are
+    those of the split system (see the module docstring) at the first split
+    solve.
     """
 
     grid: Grid
@@ -134,6 +146,7 @@ class OperatorMatrix:
     band: np.ndarray
     _band_ld: np.ndarray | None = field(default=None, repr=False)
     _lu: tuple | None = field(default=None, repr=False)
+    _split: tuple | None = field(default=None, repr=False)
 
     def band_extended(self) -> np.ndarray:
         if self._band_ld is None:
@@ -152,6 +165,24 @@ class OperatorMatrix:
             self._lu = (lu, piv)
         lu, piv = self._lu
         return lapack.dgbtrs(lu, 2, 2, rhs, piv)[0]
+
+    def _solve_split_transposed(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """Solve M^T y = rhs for the split matrix M, in float64, with a forward-error bound.
+
+        ``rhs`` has 2 (n - 1) rows, interleaved as the columns of
+        :func:`_split_band`, and is overwritten when it is Fortran-ordered.
+        Each column y of the result meets max|y - y_exact| <= bound * max|y|;
+        the bound is inf when M is singular.  M is factored at the first call.
+        """
+        lapack = _lapack()
+        if self._split is None:
+            ab = _split_band(self)
+            norm = float(np.max(np.sum(np.abs(ab[2:]), axis=0)))  # max column sum of |M|
+            lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
+            bound = np.inf if info != 0 else _split_error(lapack, lu, piv, norm)
+            self._split = (lu, piv, bound)
+        lu, piv, bound = self._split
+        return lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0], bound
 
     def apply(self, values) -> np.ndarray:
         """A @ values in the dtype of ``values`` (rows 0 and n return u(a), u(b))."""
@@ -187,6 +218,61 @@ def assemble(p: float, c: ScalarField, grid: Grid | None = None) -> OperatorMatr
     band[2, 0] = 1.0
     band[2, n] = 1.0
     return OperatorMatrix(grid=grid, p=float(p), c=c, band=band)
+
+
+def _split_band(op: OperatorMatrix) -> np.ndarray:
+    """The split matrix M of ``op`` in ``gbtrf`` storage: M[r, s] at [4 + r - s, s].
+
+    Row 2 (i - 1) is L u - v = 0 and row 2 (i - 1) + 1 is L v + p v + c u = f
+    at interior node i, with u_i and v_i in the columns of the same numbers;
+    rows 0 and 1 are left free for the fill-in of the factorization.
+    """
+    inv2 = op.grid.spacing**-2
+    size = 2 * (op.grid.n - 1)
+    ab = np.zeros((7, size), order="F")
+    ab[2, 2:] = -inv2                   # u_{i+1} in u-rows, v_{i+1} in v-rows
+    ab[3, 1::2] = -1.0                  # v_i in the u-row of node i
+    ab[4, 0::2] = 2.0 * inv2
+    ab[4, 1::2] = 2.0 * inv2 + op.p
+    ab[5, 0::2] = np.asarray(op.c.values, dtype=np.float64)[1:-1]   # c_i u_i in v-rows
+    ab[6, :-2] = -inv2                  # u_{i-1} in u-rows, v_{i-1} in v-rows
+    return ab
+
+
+def _lu_column_sums(lu: np.ndarray) -> np.ndarray:
+    """Column sums of |P L| |U| for ``gbtrf`` factors with two sub- and two superdiagonals.
+
+    U[i, j] sits at lu[4 + i - j, j], and column k of P L holds 1 and the
+    multipliers lu[5, k], lu[6, k] of step k: the row interchanges of later
+    steps move them to other rows, never to another column.  So with c_k =
+    1 + |lu[5, k]| + |lu[6, k]| the sums are (|U|^T c)_j.  (The row sums are
+    another matter: a row that loses the pivot step after step collects a
+    multiplier at each, hundreds of them when c < 0.)
+    """
+    c = np.ones(lu.shape[1])
+    c[:-1] += np.abs(lu[5, :-1])  # the last steps have fewer rows below them
+    c[:-2] += np.abs(lu[6, :-2])
+    u_abs = np.abs(lu[:5])
+    sums = u_abs[4] * c
+    for d in range(1, 5):  # U[j - d, j] at lu[4 - d, j]
+        sums[d:] += u_abs[4 - d, d:] * c[:-d]
+    return sums
+
+
+def _split_error(lapack, lu: np.ndarray, piv: np.ndarray, norm: float) -> float:
+    """The bound on max|y - y_exact| / max|y| for every transposed solve on these factors.
+
+    ``gbtrs`` computes y with (M + F)^T y = b and |F| <= gamma_13 |P L| |U|:
+    at most 5 terms in each entry of the factorization and in each row of
+    U^T, and 3 in each row of L^T (Higham 2002, Theorems 8.5 and 9.3).  So
+    max|y - y_exact| = max|M^-T F^T y| <= ||M^-1||_1 ||F||_1 max|y|, with
+    ||F||_1 from :func:`_lu_column_sums` and ||M^-1||_1 from LAPACK's
+    condition estimate (``gbcon``; ``norm`` is ||M||_1).
+    """
+    rcond, info = lapack.dgbcon(2, 2, lu, piv, norm, norm="1")
+    if info != 0 or not rcond > 0.0:
+        return np.inf
+    return _GAMMA13 * float(np.max(_lu_column_sums(lu))) / (rcond * norm)
 
 
 def _band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -281,32 +367,6 @@ def _interior_residual(op: OperatorMatrix, x_ld: np.ndarray, rhs) -> float:
     r = _band_matvec(op.band_extended(), np.asarray(x_ld, dtype=np.longdouble))
     r -= np.asarray(rhs, dtype=np.longdouble)
     return float(np.max(np.abs(r[1:-1])))
-
-
-# gamma_7 = 7 u / (1 - 7 u) with the unit roundoff u = 2**-53 (Higham 2002, Lemma 3.1)
-_GAMMA7 = 7 * 2.0**-53 / (1.0 - 7 * 2.0**-53)
-
-
-def _float64_residual_certified(op: OperatorMatrix, x: np.ndarray, rhs: np.ndarray, bound: float) -> bool:
-    """True when the float64 ``x`` provably meets max interior |A x - rhs| <= ``bound``.
-
-    ``x`` and ``rhs`` are vectors or matrices of columns with n + 1 rows, both
-    zero in rows 0 and n.  Each interior row of r = A x - rhs is a sum of at
-    most six terms, so its float64 evaluation is off by at most
-    gamma_7 (sum_j |a_ij| max|x| + max|rhs|) (Higham 2002, sections 3.1 and
-    12.1); twice that also covers the rounding of this bound itself.  The
-    residual is formed only when that slack leaves room for it, and nothing
-    here is computed in extended precision.
-    """
-    n = op.grid.n
-    band = op.band[:, 1:-1]
-    row_sum = float(np.max(_band_matvec(np.abs(band), np.ones(n - 1))))
-    slack = 2.0 * _GAMMA7 * (row_sum * float(np.max(np.abs(x))) + float(np.max(np.abs(rhs))))
-    if not slack < bound:
-        return False
-    r = _band_matvec(band, x[1:-1])
-    r -= rhs[1:-1]
-    return float(np.max(np.abs(r))) + slack <= bound
 
 
 def _residual_bound(problem: ProblemSpec) -> float:

@@ -26,6 +26,7 @@ used by the contraction and uniqueness bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,30 @@ __all__ = [
     "resonance_check",
 ]
 
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _overflow(what: str, p: float, interval: Interval) -> ValueError:
+    return ValueError(
+        f"{what} overflows float64 at p = {p} on an interval of length L = {interval.length!r}"
+    )
+
+
+def _finite(what: str, p: float, interval: Interval, compute) -> float:
+    """``compute()`` when it is a finite float, else the ValueError of :func:`_overflow`.
+
+    On very short intervals the thresholds scale like L**-4 (and delta1 like
+    L**-3) and leave float64: a float power raises OverflowError, a product
+    or quotient turns inf, and L**3 may underflow to zero.
+    """
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise _overflow(what, p, interval)
+    return value
+
 
 def lambda_k(p: float, interval: Interval, k: int) -> float:
     """k-th eigenvalue (k pi/L)^4 + p (k pi/L)^2 of the hinged operator."""
@@ -52,7 +77,7 @@ def lambda_k(p: float, interval: Interval, k: int) -> float:
     if k < 1:
         raise ValueError(f"mode number k must be a positive integer, got {k}")
     w = k * np.pi / interval.length
-    return float(w**4 + p * w**2)
+    return _finite(f"lambda_{k}", p, interval, lambda: float(w**4 + p * w**2))
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +126,8 @@ def lambda2(p: float, interval: Interval) -> float:
     L = interval.length
     x = _tan_tanh_root(0.5 * p * L * L, "lambda2")
     q = 2.0 * x / L
+    if not 0.5 * q * q <= _SQRT_MAX:  # the interval alone overflows, whatever p is
+        raise _overflow("lambda2", p, interval)
     try:
         return -(0.5 * (q * q + p)) ** 2
     except OverflowError:
@@ -122,8 +149,12 @@ def lambda3(p: float, interval: Interval) -> float:
     require_p(p)
     L = interval.length
     x = _tan_tanh_root(p * L * L, "lambda3")
-    q2 = 2.0 * (x / L) ** 2
-    return 0.25 * q2 * (q2 + 2.0 * p)
+
+    def lam() -> float:
+        q2 = 2.0 * (x / L) ** 2
+        return 0.25 * q2 * (q2 + 2.0 * p)
+
+    return _finite("lambda3", p, interval, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +165,7 @@ def delta1(p: float, interval: Interval) -> float:
     """Contraction threshold max{ 4 p / L, 4 pi^2 / L^3 }."""
     require_p(p)
     L = interval.length
-    return max(4.0 * p / L, 4.0 * np.pi**2 / L**3)
+    return _finite("delta1", p, interval, lambda: max(4.0 * p / L, 4.0 * np.pi**2 / L**3))
 
 
 def delta1_alt(p: float, interval: Interval) -> float:
@@ -147,7 +178,7 @@ def delta1_alt(p: float, interval: Interval) -> float:
     """
     require_p(p)
     L = interval.length
-    return max(4.0 * p / L, 4.0 * np.pi**2 / L**1.5)
+    return _finite("delta1_alt", p, interval, lambda: max(4.0 * p / L, 4.0 * np.pi**2 / L**1.5))
 
 
 def delta2(p: float, interval: Interval, c_m: float) -> float:

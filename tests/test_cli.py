@@ -363,6 +363,30 @@ def test_lambda2_overflow_is_an_input_error(tmp_path, capsys):
     assert "lambda2 overflows float64 at p = 1e+160" in capsys.readouterr().err
 
 
+def test_tiny_interval_is_an_input_error(tmp_path, capsys):
+    # the thresholds scale like L**-4 and leave float64 below L ~ 1e-77
+    for b in ("1e-80", "1e-110", "1e-170"):
+        assert run(["spectrum", "--b", b]) == 1
+        assert capsys.readouterr().err == (
+            f"error: input: lambda_1 overflows float64 at p = 0.0 on an interval of length L = {b}\n"
+        )
+        path = write_problem(tmp_path, BASE.format(c=0).replace("interval.b = 1", f"interval.b = {b}"))
+        assert run(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: ") and f"on an interval of length L = {b}\n" in err
+    assert run(["spectrum", "--b", "1e-60"]) == 0
+    assert capsys.readouterr().out == (
+        "p              = 0.0\n"
+        "interval       = [0.0, 1e-60]\n"
+        "lambda1        = 9.740909103400241e+241\n"
+        "lambda1_prime  = 1.5585454565440386e+243\n"
+        "lambda2        = -9.50884270124467e+242\n"
+        "lambda3        = 2.3772106753111673e+242\n"
+        "delta1         = 3.947841760435744e+181\n"
+        "delta1_alt     = 3.9478417604357434e+91  # variant reading with (b-a)^(3/2) scaling\n"
+    )
+
+
 def test_nan_fixed_point_tolerance_is_an_input_error(tmp_path, capsys):
     text = (
         "interval.a = 0\ninterval.b = 1\np = 0\n"

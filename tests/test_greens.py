@@ -12,7 +12,7 @@ from beamsign.greens import (
     y_boundary,
 )
 from beamsign.solver import assemble, smallest_eigenvalue
-from beamsign.spectrum import SpectralData, lambda_k
+from beamsign.spectrum import lambda_k
 
 UNIT = Interval(0.0, 1.0)
 
@@ -97,75 +97,65 @@ def test_greens_discrete_resonance():
     assert info.value.index == 1
 
 
-def _kernel_residual(p: float, c: ScalarField, G: np.ndarray) -> float:
-    # max interior |A G - I / spacing| with the hinged stencil written out by
-    # hand (ghost nodes eliminated), summed in long double from the same
-    # float64 matrix entries that assemble() stores
-    grid = c.grid
-    n = grid.n
-    dx = grid.spacing
-    inv4, inv2 = dx**-4, dx**-2
-    diag = 6.0 * inv4 + 2.0 * p * inv2 + np.asarray(c.values, dtype=np.float64)[1:n]
-    diag[0] -= inv4
-    diag[-1] -= inv4
-    near = -4.0 * inv4 - p * inv2
-    assert np.all(G[[0, -1], :] == 0.0)  # so the ghost-row entries A[1, 0], A[n-1, n] drop out
-    U = np.zeros((n + 3, n + 1), dtype=np.longdouble)  # U[k + 1] = G[k], k = -1 .. n + 1
-    U[1:-1] = G
-    r = diag.astype(np.longdouble)[:, None] * U[2:n + 1]
-    r += np.longdouble(near) * (U[1:n] + U[3:n + 2])
-    r += np.longdouble(inv4) * (U[0:n - 1] + U[4:n + 3])
-    r[np.arange(n - 1), np.arange(1, n)] -= np.longdouble(1.0 / dx)
-    return float(np.max(np.abs(r)))
+def _sine_transform_kernel(p: float, c: float, n: int, cols) -> np.ndarray:
+    # columns of the exact kernel of L^2 + p L + c on [0, 1], L the Dirichlet
+    # second-difference matrix: G = S diag(1 / lambda_k) S * 2 / (n h), S[i, k] =
+    # sin(i k pi / n), lambda_k = mu_k^2 + p mu_k + c, mu_k = (4 / h^2) sin^2(k pi / 2n);
+    # the sum over k is a DST-I, taken as the FFT of the odd extension
+    h = 1.0 / n
+    k = np.arange(1, n)
+    mu = (4.0 / h**2) * np.sin(k * np.pi / (2 * n)) ** 2
+    lam = mu**2 + p * mu + c
+    w = np.sin(np.outer(k, cols) * np.pi / n) / lam[:, None]
+    ext = np.zeros((2 * n, len(cols)))
+    ext[1:n] = w
+    ext[n + 1:] = -w[::-1]
+    g = -0.5 * np.fft.fft(ext, axis=0).imag[: n + 1]
+    g[[0, n]] = 0.0
+    return g * (2.0 / (n * h))
 
 
-def test_greens_discrete_float64_certificate_is_sound(monkeypatch):
-    from beamsign import greens
-
-    refined = []
-    solve_refined = greens._solve_refined
-
-    def recording(*args, **kwargs):
-        refined.append(1)
-        return solve_refined(*args, **kwargs)
-
-    monkeypatch.setattr(greens, "_solve_refined", recording)
-    certified = 0
-    for n in (50, 200, 250):
+def test_greens_discrete_matches_the_sine_transform_kernel():
+    # the kernel solves the operator itself: a kernel of its rounded band
+    # (6/h^4 + 2p/h^2 + c stored in float64) misses these references by up to 1e-5 of max|G|
+    for n in (200, 400, 1000, 2000):
         grid = Grid(UNIT, n)
-        bound = 1e-8 * (1.0 / grid.spacing + 1.0)
-        bump = np.sin(np.pi * grid.nodes)
+        cols = np.arange(1, n) if n <= 1000 else np.array([1, 300, 1000, 1001, 1999])
         for p in (0.0, 5.0, 50.0):
-            sd = SpectralData.compute(p, UNIT)
-            # the four kernel zones: positive kernel below and above 0, negative
-            # kernel in [-lambda3, -lambda1), sign-changing past -lambda2
-            zones = ((-0.9 * sd.lambda1, -0.1 * sd.lambda1), (0.0, 0.9 * -sd.lambda2),
-                     (-0.97 * sd.lambda3, -1.1 * sd.lambda1), (1.1 * -sd.lambda2, 2.0 * -sd.lambda2))
-            for lo, hi in zones:
-                for cv in (np.full(n + 1, 0.5 * (lo + hi)), lo + (hi - lo) * bump):
-                    c = ScalarField(grid, cv)
-                    refined.clear()
-                    G = greens_discrete(p, c, grid)
-                    if refined:
-                        continue
-                    certified += 1
-                    assert G.values.dtype == np.float64
-                    assert _kernel_residual(p, c, G.values) <= bound
-    assert certified >= 54  # 62 of the 72 certify; near resonance the rest refine
-    # a certificate that uses most of its bound: for c = 0, p = 0 at n = 220 the
-    # rounding slack 2 gamma_7 (16 / spacing^4 max|G| + 1 / spacing) alone is
-    # more than half of 1e-8 (1 / spacing + 1)
-    grid = Grid(UNIT, 220)
-    c = ScalarField.constant(grid, 0.0)
-    refined.clear()
-    G = greens_discrete(0.0, c, grid)
-    assert not refined
-    bound = 1e-8 * (1.0 / grid.spacing + 1.0)
-    u = 2.0**-53
-    row_sum = 16.0 / grid.spacing**4  # sum_j |a_ij| for p = 0, c = 0
-    slack = 2.0 * (7 * u / (1 - 7 * u)) * (row_sum * np.max(np.abs(G.values)) + 1.0 / grid.spacing)
-    assert bound / 2.0 < slack < bound
-    assert _kernel_residual(0.0, c, G.values) <= bound
+            for cv in (0.0, -80.0, 3000.0):
+                G = greens_discrete(p, ScalarField.constant(grid, cv), grid)
+                assert G.values.dtype == np.float64
+                ref = _sine_transform_kernel(p, cv, n, cols)
+                err = np.max(np.abs(G.values[:, cols] - ref))
+                assert err <= 1e-10 * np.max(np.abs(ref))
+                assert 0.0 < G.forward_error_bound <= 1e-3
+
+
+def test_greens_discrete_is_within_its_own_bound_near_resonance():
+    # c = -97 sits 0.4 from -lambda_1: there the error is largest and the bound
+    # still holds (2.0e-11 against 6.1e-6 at n = 400)
+    for n in (400, 1000):
+        grid = Grid(UNIT, n)
+        G = greens_discrete(0.0, ScalarField.constant(grid, -97.0), grid)
+        cols = np.arange(1, n)
+        ref = _sine_transform_kernel(0.0, -97.0, n, cols)
+        err = np.max(np.abs(G.values[:, cols] - ref)) / np.max(np.abs(ref))
+        assert err <= G.forward_error_bound <= 1e-3
+
+
+def test_greens_discrete_resonance_of_the_split_operator():
+    # c on the split operator's own first eigenvalue -(mu_1^2 + p mu_1)
+    for n in (100, 400, 2000):
+        grid = Grid(UNIT, n)
+        h = grid.spacing
+        mu1 = (4.0 / h**2) * np.sin(np.pi / (2 * n)) ** 2
+        for p in (0.0, 5.0):
+            c = ScalarField.constant(grid, -(mu1**2 + p * mu1))
+            with pytest.raises(ResonanceError, match="forward-error bound") as info:
+                greens_discrete(p, c, grid)
+            assert info.value.index == 1
+            bound = float(info.value.args[0].split("forward-error bound ")[1].split()[0])
+            assert bound > 1e-3
 
 
 def test_greens_discrete_reproduces_direct_solutions():

@@ -318,9 +318,9 @@ def _count_factorizations(monkeypatch):
     calls = []
     factor = lapack.dgbtrf
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return factor(*args, **kwargs)
+    def counting(ab, *args, **kwargs):
+        calls.append(ab.shape[1])  # the order of the factored matrix
+        return factor(ab, *args, **kwargs)
 
     monkeypatch.setattr(lapack, "dgbtrf", counting)
     return calls
@@ -342,42 +342,47 @@ def test_each_operator_is_factored_once(monkeypatch):
     calls.clear()
     direct_solve(unit_problem(200, 0.0))
     assert len(calls) == 1
-    # greens_discrete: at n = 200 its float64 kernel is certified, so nothing
-    # is computed in extended precision
+    # greens_discrete: one factorization, of the split system, and nothing in
+    # extended precision, at n = 200 and at n = 400 alike
     from beamsign import solver
 
     def no_extended(self):
-        raise AssertionError("extended-precision work on the certified path")
+        raise AssertionError("extended-precision work in the kernel")
 
-    calls.clear()
-    grid = Grid(UNIT, 200)
-    with monkeypatch.context() as patch:
-        patch.setattr(solver.OperatorMatrix, "band_extended", no_extended)
-        G = greens_discrete(0.0, ScalarField.constant(grid, 0.0), grid)
-    assert len(calls) == 1
-    assert G.values.dtype == np.float64
-    # at n = 400 the certificate misses: the first solve is the load matrix, and
-    # the refined corrections start from it without solving it again
-    solve = solver.OperatorMatrix._solve_interior
-    rhs_seen = []
+    for n in (200, 400):
+        calls.clear()
+        grid = Grid(UNIT, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver.OperatorMatrix, "band_extended", no_extended)
+            G = greens_discrete(0.0, ScalarField.constant(grid, 0.0), grid)
+        assert calls == [2 * (n - 1)]
+        assert G.values.dtype == np.float64
 
-    def recording(self, rhs):
-        rhs_seen.append(np.array(rhs))
-        return solve(self, rhs)
 
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", recording)
-    calls.clear()
-    grid = Grid(UNIT, 400)
-    G = greens_discrete(0.0, ScalarField.constant(grid, 0.0), grid)
-    assert len(calls) == 1
-    loads = np.zeros((grid.n - 1, grid.n + 1))
-    loads[np.arange(grid.n - 1), np.arange(1, grid.n)] = 1.0 / grid.spacing
-    assert len(rhs_seen) >= 2
-    assert [np.array_equal(rhs, loads) for rhs in rhs_seen] == [True] + [False] * (len(rhs_seen) - 1)
-    op = assemble(0.0, ScalarField.constant(grid, 0.0), grid)
-    r = op.apply(np.asarray(G.values, dtype=np.longdouble))[1:-1, 1:-1]
-    r -= np.diag(np.full(grid.n - 1, 1.0 / grid.spacing))
-    assert float(np.max(np.abs(r))) <= 1e-8 * (1.0 / grid.spacing + 1.0)
+def test_lu_column_sums_match_the_dense_factors():
+    # the column sums of |P L| |U| against scipy's dense LU (A = P L U), on
+    # banded matrices that pivot often, where some row of L outgrows the band
+    import scipy.linalg
+
+    from beamsign import solver
+
+    rng = np.random.default_rng(11)
+    size = 40
+    longest = 0
+    for _ in range(20):
+        ab = np.zeros((7, size), order="F")
+        ab[2:] = rng.standard_normal((5, size))
+        dense = np.zeros((size, size))
+        for d in range(-2, 3):  # A[r, s] at ab[4 + r - s, s]
+            s = np.arange(max(0, -d), min(size, size - d))
+            dense[s + d, s] = ab[4 + d, s]
+        lu, piv, info = solver._lapack().dgbtrf(ab, 2, 2)
+        assert info == 0
+        P, L, U = scipy.linalg.lu(dense)
+        expected = (np.abs(P @ L) @ np.abs(U)).sum(axis=0)
+        assert np.allclose(solver._lu_column_sums(lu), expected, rtol=1e-13)
+        longest = max(longest, int(np.max(np.count_nonzero(L, axis=1))))
+    assert longest > 3
 
 
 def _independent_residual(problem: ProblemSpec, u) -> tuple[float, float]:

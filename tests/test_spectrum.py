@@ -226,3 +226,18 @@ def test_nearest_mode_matches_the_scan():
         cases += [(p, interval, neg, neg), (p, interval, neg, neg + half), (p, interval, neg - half, neg)]
     for p, interval, c_min, c_max in cases:
         assert nearest_mode(p, interval, c_min, c_max) == _nearest_by_scan(p, interval, c_min, c_max)
+
+
+def test_spectral_quantities_name_the_interval_when_they_overflow():
+    cases = ((1e-80, (lambda2, lambda3)), (1e-110, (delta1,)),
+             (1e-170, (lambda2, lambda3, delta1)))
+    for length, quantities in cases:
+        interval = Interval(0.0, length)
+        with pytest.raises(ValueError, match=f"lambda_1 overflows float64 .* L = {length!r}"):
+            lambda_k(1.0, interval, 1)
+        for quantity in quantities:
+            with pytest.raises(ValueError, match=f"{quantity.__name__} overflows float64 .* L = {length!r}"):
+                quantity(1.0, interval)
+    # large p alone keeps its own message
+    with pytest.raises(ValueError, match=r"^lambda2 overflows float64 at p = 1e\+160$"):
+        lambda2(1e160, Interval(0.0, 1.0))
