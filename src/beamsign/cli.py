@@ -26,6 +26,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -420,6 +421,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token that starts with "-" for an option unless it
+        # looks like a negative number, and its pattern has no exponent: it
+        # would read "--m -5e2" (also --a, --b, --from, --to) as a missing value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -34,6 +34,9 @@ __all__ = [
 # c >= -97, 0.4 from -lambda_1, while c on the split operator's own first
 # eigenvalue -(mu_1^2 + p mu_1) gives 1e5 or more
 _KERNEL_RTOL = 1e-3
+# kernel columns per trailing solve in greens_discrete: 48 and 64 tie as the
+# fastest at n = 250 and n = 1000, while 32 and 96 are up to 5 % slower
+_KERNEL_BLOCK = 48
 
 
 @dataclass(eq=False)
@@ -140,29 +143,50 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     superposition identity, and keeps the matrix symmetric because the
     interior block of the operator is.
 
-    All columns come from one float64 solve with the split matrix M of
+    The columns are solved in float64 with the split matrix M of
     L u - v = 0, L v + p v + c u = f (see :mod:`beamsign.solver`): its
     transpose, with the loads in the u-rows, returns G in the v-rows.  So G
-    is the kernel of L**2 + p L + C itself, not of its rounded band.  The
-    returned ``forward_error_bound`` bounds max|G - G_exact| / max|G|; it is
-    read from the LU factors and a condition estimate, and no residual of G
-    is formed.  Raises :class:`~beamsign.errors.ResonanceError`, with the
-    bound in its message, when the bound exceeds ``_KERNEL_RTOL`` = 1e-3.
+    is the kernel of L**2 + p L + C itself, not of its rounded band.  Only
+    the lower triangle is solved, in blocks of ``_KERNEL_BLOCK`` columns:
+    the block from column j0 on takes one transposed solve on the trailing
+    factors of M from row 2 j0 - 2, whose rows from 2 j0 on equal those of a
+    full solve bit for bit.  The kernel is that triangle plus its transpose,
+    with the diagonal halved, so G equals G.T exactly.
+
+    The returned ``forward_error_bound`` bounds max|G - G_exact| / max|G|; it
+    is read from the LU factors and a condition estimate, and no residual of
+    G is formed.  Every block solve is a transposed solve with a Schur
+    complement of M, so the bound of the full solve covers it, with max|y|
+    taken over the rows the block returns (the argument is in
+    ``OperatorMatrix._solve_split_transposed``).  Raises
+    :class:`~beamsign.errors.ResonanceError`, with the bound in its message,
+    when the bound exceeds ``_KERNEL_RTOL`` = 1e-3.
     """
     grid = _resolve_grid(c.grid, grid)
     op = assemble(p, c, grid)
-    n = grid.n
-    loads = np.zeros((2 * (n - 1), n - 1), order="F")
-    loads[np.arange(0, 2 * (n - 1), 2), np.arange(n - 1)] = 1.0 / grid.spacing  # the u-rows
-    y, error = op._solve_split_transposed(loads)
-    kernel = y[1::2]  # the v-rows hold A^-1 e_j / spacing
-    vals = np.zeros((n + 1, n + 1))
-    vals[1:-1, 1:-1] = kernel  # rows and columns 0 and n stay zero
+    m = grid.n - 1
+    lower = np.zeros((m, m))  # G[i, j] for i >= j, interior nodes numbered from 0
+    top = 0.0  # max|y| over every row the solves return
+    keep = np.tri(_KERNEL_BLOCK)  # ones on and below the diagonal
+    for j0 in range(0, m, _KERNEL_BLOCK):
+        j1 = min(j0 + _KERNEL_BLOCK, m)
+        width = j1 - j0
+        # column j loads u-row 2 j; rows from 2 j0 on are exact from this start
+        start = max(2 * j0 - 2, 0)
+        loads = np.zeros((2 * m - start, width), order="F")
+        loads[2 * j0 - start + 2 * np.arange(width), np.arange(width)] = 1.0 / grid.spacing
+        y, error = op._solve_split_transposed(loads, start)
+        top = max(top, _max_abs(y))
+        kernel = y[2 * j0 - start + 1 :: 2]  # the v-rows hold A^-1 e_j / spacing
+        # the upper triangle comes from the mirror
+        np.multiply(kernel[:width], keep[:width, :width], out=lower[j0:j1, j0:j1])
+        lower[j1:, j0:j1] = kernel[width:]
+    scale = _max_abs(lower)
+    lower.flat[:: m + 1] *= 0.5
+    vals = np.zeros((m + 2, m + 2))  # rows and columns 0 and n stay zero
+    np.add(lower, lower.T, out=vals[1:-1, 1:-1])
     # the bound per max|y| becomes one per max|G|; the u-rows hold (L + p) G
-    if np.isfinite(error):
-        bound = error * max(_max_abs(kernel), _max_abs(y[0::2])) / _max_abs(kernel)
-    else:
-        bound = np.inf
+    bound = error * top / scale if np.isfinite(error) else np.inf
     if not bound <= _KERNEL_RTOL:
         raise _resonance_error(
             op, f"the kernel's forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g}; "

@@ -36,8 +36,12 @@ Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sections
 Solves run with M^T, whose backward error takes the column sums of
 |P L| |U|, since partial pivoting leaves every column of L with three
 entries but lets a row collect hundreds (see ``_lu_column_sums``).  As A is
-symmetric, M^T y = (e_j, 0) gives A^-1 e_j in the v-rows of y.  Nothing is
-computed in extended precision there.
+symmetric, M^T y = (e_j, 0) gives A^-1 e_j in the v-rows of y.  The kernel
+is symmetric too, so only its lower triangle is solved: a block of columns
+starting at j needs only the rows from 2 j on, and those come from the
+trailing part of the same factors (see ``_solve_split_transposed``), bit for
+bit as a full solve would give them.  Nothing is computed in extended
+precision there.
 
 LAPACK comes from scipy's compiled ``scipy.linalg._flapack`` extension, which
 is loaded directly at the first factorization (see ``_lapack``).  Importing
@@ -154,7 +158,15 @@ class OperatorMatrix:
         return self._band_ld
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """Interior-block solve in float64; ``rhs`` has n - 1 rows."""
+        """Interior-block solve in float64; ``rhs`` has n - 1 rows.
+
+        A matrix of right-hand sides is solved with the transposed factors,
+        which sweep Fortran-ordered columns faster, and is overwritten when
+        it is Fortran-ordered.  That solves the same system, since the
+        interior block equals its transpose exactly (``assemble`` writes the
+        same expression on both off-diagonals), with different rounding.  A
+        vector takes the plain solve.
+        """
         lapack = _lapack()  # loaded at the first solve, without scipy.linalg
         if self._lu is None:
             ab = np.zeros((7, self.grid.n - 1), order="F")
@@ -164,15 +176,34 @@ class OperatorMatrix:
                 raise _resonance_error(self)
             self._lu = (lu, piv)
         lu, piv = self._lu
+        if rhs.ndim == 2:
+            return lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0]
         return lapack.dgbtrs(lu, 2, 2, rhs, piv)[0]
 
-    def _solve_split_transposed(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    def _solve_split_transposed(self, rhs: np.ndarray, start: int = 0) -> tuple[np.ndarray, float]:
         """Solve M^T y = rhs for the split matrix M, in float64, with a forward-error bound.
 
-        ``rhs`` has 2 (n - 1) rows, interleaved as the columns of
-        :func:`_split_band`, and is overwritten when it is Fortran-ordered.
-        Each column y of the result meets max|y - y_exact| <= bound * max|y|;
-        the bound is inf when M is singular.  M is factored at the first call.
+        ``rhs`` holds rows ``start`` .. 2 (n - 1) - 1 of the right-hand side,
+        interleaved as the columns of :func:`_split_band`, and is overwritten
+        when it is Fortran-ordered.  Each column y of the result meets
+        max|y - y_exact| <= bound * max|y|; the bound is inf when M is
+        singular.  M is factored at the first call.
+
+        With ``start`` = r > 0 only the trailing factors are used,
+        ``lu[:, r:]`` with the pivots ``piv[r:] - r``.  When the full
+        right-hand side vanishes in rows 0 .. r - 1, rows r + 2 and below of
+        the result equal those of the full solve bit for bit: the transposed
+        solve runs U^T forward, which keeps rows 0 .. r - 1 exactly zero, then
+        L^T backward, and of the steps 0 .. r - 1 it leaves out only r - 2
+        and r - 1 reach past row r - 1, swapping into rows r and r + 1 at
+        most.  The bound holds as well.  After r elimination
+        steps the factors left are those of the Schur complement S of the
+        row-permuted M, so this solve is a transposed solve with S: its
+        backward error is bounded by trailing column sums of |P L| |U|, none
+        above the full ones, and S^-1 is a block of (P M)^-1, so
+        ||S^-1||_1 <= ||M^-1||_1.  Rows r and r + 1 hold values that the
+        full solve swaps to earlier rows unchanged, so max|y| over the
+        returned rows is at most that of the full solve.
         """
         lapack = _lapack()
         if self._split is None:
@@ -182,6 +213,8 @@ class OperatorMatrix:
             bound = np.inf if info != 0 else _split_error(lapack, lu, piv, norm)
             self._split = (lu, piv, bound)
         lu, piv, bound = self._split
+        if start:
+            lu, piv = lu[:, start:], piv[start:] - start
         return lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0], bound
 
     def apply(self, values) -> np.ndarray:
@@ -418,7 +451,7 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     n = grid.n
     dx = grid.spacing
     # columns 0 .. n-2: unit loads at nodes 1 .. n-1; columns n-1, n: unit moments at a, b
-    loads = np.zeros((n - 1, n + 1))
+    loads = np.zeros((n - 1, n + 1), order="F")  # the layout LAPACK reads without a copy
     np.fill_diagonal(loads, 1.0 / dx)
     loads[0, n - 1] = -(dx**-2)
     loads[-1, n] = -(dx**-2)

@@ -193,6 +193,24 @@ def test_greens_command_writes_the_kernel(tmp_path, capsys):
     assert np.max(np.abs(matrix - matrix.T)) < 1e-8 * np.max(np.abs(matrix))
 
 
+def test_negative_numbers_in_scientific_notation(tmp_path, capsys):
+    # "--m -5e2" once failed with "expected one argument" while "--m -500" and
+    # "--m=-5e2" worked: argparse's negative-number pattern had no exponent
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert run(["greens", "--m", "-5e2", "--n", "16", "--out", str(spaced)]) == 0
+    assert run(["greens", "--m=-5e2", "--n", "16", "--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert run(["spectrum", "--a", "-1.5E0", "--b", "-2.5e-1"]) == 0
+    assert "interval       = [-1.5, -0.25]" in capsys.readouterr().out
+    path = write_problem(tmp_path, BASE.format(c=0))
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", str(path), "--param", "c", "--from", "-1e2", "--to", "-3e2",
+                "--steps", "3", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [-300.0, -200.0, -100.0]
+    capsys.readouterr()
+
+
 def test_sweep_predictions_match_observations(tmp_path, capsys):
     path = write_problem(tmp_path, BASE.format(c=0))
     out = tmp_path / "sweep.csv"

@@ -520,6 +520,56 @@ def test_superposition_rejects_a_wrong_kernel_column(monkeypatch, corrupt):
         superposition_solve(problem)
 
 
+def test_only_a_matrix_of_loads_takes_the_transposed_sweep():
+    # the interior block is symmetric, so a matrix of right-hand sides may be
+    # solved with the transposed factors; a vector still takes the plain
+    # solve, which keeps direct_solve, y_boundary, fixed_point_solve and
+    # smallest_eigenvalue bit for bit as they were
+    from beamsign import solver
+
+    grid = Grid(UNIT, 200)
+    op = assemble(2.0, ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes)), grid)
+    rhs = np.random.default_rng(2).standard_normal((grid.n - 1, 3))
+    x = op._solve_interior(rhs[:, 0].copy())
+    lu, piv = op._lu
+    assert np.any(piv != np.arange(grid.n - 1))  # the factorization pivots
+    lapack = solver._lapack()
+    assert np.array_equal(x, lapack.dgbtrs(lu, 2, 2, rhs[:, 0], piv)[0])
+    block = op._solve_interior(np.asfortranarray(rhs))
+    assert np.array_equal(block, lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1)[0])
+
+
+def test_superposition_agrees_with_the_untransposed_kernel_solve(monkeypatch):
+    from beamsign import solver
+
+    solve = solver.OperatorMatrix._solve_interior
+
+    def untransposed(self, rhs):
+        if rhs.ndim == 1:
+            return solve(self, rhs)
+        solve(self, np.zeros(rhs.shape[0]))  # factors the block at the first call
+        lu, piv = self._lu
+        return solver._lapack().dgbtrs(lu, 2, 2, rhs, piv)[0]
+
+    cases = [
+        (200, 5.0, lambda t: -60.0 + 40.0 * np.cos(2.0 * t)),
+        (250, 0.0, lambda t: np.full(t.shape, -250.0)),
+        (250, 50.0, lambda t: 900.0 * np.sin(np.pi * t)),
+        (600, 2.0, lambda t: np.full(t.shape, -80.0)),
+    ]
+    problems = []
+    for n, p, c_of in cases:
+        grid = Grid(UNIT, n)
+        t = grid.nodes
+        h = ScalarField(grid, 1.0 + 0.5 * np.sin(3.0 * np.pi * t))
+        problems.append(ProblemSpec(UNIT, p, ScalarField(grid, c_of(t)), h, d1=-0.7, d2=-1.3))
+    swept = [np.asarray(superposition_solve(pr).u.values, dtype=np.float64) for pr in problems]
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", untransposed)
+    for problem, u in zip(problems, swept):
+        ref = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def _fixed_point_residual_problem():
     # the assembled diagonal rounds c to about 1e-5 here; iterating with the
     # unrounded c - d converged to u with a residual of 8.7e-8 against 2e-8
