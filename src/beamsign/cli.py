@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError
-from .expressions import ExpressionError, parse_expression
+from .expressions import parse_expression
 from .fields import Grid, Interval, ProblemSpec, ScalarField, diff, sup_norm
 from .greens import greens_discrete
 from .principles import verdict
@@ -76,18 +76,31 @@ class ProblemFile:
     base_dir: Path = Path(".")
 
 
-def _parse_float(key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{key}: {raw!r} is not a number") from None
+# The scalar keys: each maps to its ProblemFile field and its kind, which is
+# float, int, or the tuple of words the key accepts.  Required keys are read
+# before c and h, optional ones after, in table order; an absent optional key
+# keeps the field's default.
+_REQUIRED = {"interval.a": ("a", float), "interval.b": ("b", float), "p": ("p", float)}
+_OPTIONAL = {
+    "bc.d1": ("d1", float),
+    "bc.d2": ("d2", float),
+    "grid.n": ("n", int),
+    "solver.method": ("method", _METHODS),
+    "solver.tol": ("tol", float),
+    "solver.max_iter": ("max_iter", int),
+}
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_value(key: str, raw: str, kind):
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValueError(f"{key}: expected one of {', '.join(kind)}, got {raw!r}")
+        return raw
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise ValueError(f"{key}: {raw!r} is not an integer") from None
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key}: {raw!r} is not {noun}") from None
 
 
 def _field_spec(pairs: dict, name: str) -> tuple[str, str]:
@@ -106,9 +119,11 @@ def _field_spec(pairs: dict, name: str) -> tuple[str, str]:
         raise ValueError(f"missing required key {payload_key}")
     payload = pairs.pop(payload_key)
     if kind == "constant":
-        _parse_float(payload_key, payload)
+        _parse_value(payload_key, payload, float)
     elif kind == "expression":
-        parse_expression(payload)  # syntax-check now; offsets refer to the value text
+        # syntax-check now, so offsets refer to the value text; the parse is
+        # memoised, and to_problem reuses it
+        parse_expression(payload)
     return kind, payload
 
 
@@ -129,35 +144,19 @@ def parse_problem_text(text: str, base_dir: Path) -> ProblemFile:
             raise ValueError(f"line {lineno}: duplicate key {key}")
         pairs[key] = value
 
-    for required in ("interval.a", "interval.b", "p"):
-        if required not in pairs:
-            raise ValueError(f"missing required key {required}")
-    a = _parse_float("interval.a", pairs.pop("interval.a"))
-    b = _parse_float("interval.b", pairs.pop("interval.b"))
-    p = _parse_float("p", pairs.pop("p"))
-    c_kind, c_payload = _field_spec(pairs, "c")
-    h_kind, h_payload = _field_spec(pairs, "h")
-    d1 = _parse_float("bc.d1", pairs.pop("bc.d1")) if "bc.d1" in pairs else 0.0
-    d2 = _parse_float("bc.d2", pairs.pop("bc.d2")) if "bc.d2" in pairs else 0.0
-    n = _parse_int("grid.n", pairs.pop("grid.n")) if "grid.n" in pairs else 400
-    method = pairs.pop("solver.method", "direct")
-    if method not in _METHODS:
-        raise ValueError(f"solver.method: expected one of {', '.join(_METHODS)}, got {method!r}")
-    tol = _parse_float("solver.tol", pairs.pop("solver.tol")) if "solver.tol" in pairs else 1e-10
-    max_iter = (
-        _parse_int("solver.max_iter", pairs.pop("solver.max_iter"))
-        if "solver.max_iter" in pairs
-        else 200
-    )
+    for key in _REQUIRED:
+        if key not in pairs:
+            raise ValueError(f"missing required key {key}")
+    fields = {field: _parse_value(key, pairs.pop(key), kind)
+              for key, (field, kind) in _REQUIRED.items()}
+    fields["c_kind"], fields["c_payload"] = _field_spec(pairs, "c")
+    fields["h_kind"], fields["h_payload"] = _field_spec(pairs, "h")
+    for key, (field, kind) in _OPTIONAL.items():
+        if key in pairs:
+            fields[field] = _parse_value(key, pairs.pop(key), kind)
     if pairs:
         raise ValueError(f"unknown keys: {', '.join(sorted(pairs))}")
-    return ProblemFile(
-        a=a, b=b, p=p,
-        c_kind=c_kind, c_payload=c_payload,
-        h_kind=h_kind, h_payload=h_payload,
-        d1=d1, d2=d2, n=n, method=method, tol=tol, max_iter=max_iter,
-        base_dir=base_dir,
-    )
+    return ProblemFile(**fields, base_dir=base_dir)
 
 
 def load_problem_file(path) -> ProblemFile:
@@ -167,6 +166,7 @@ def load_problem_file(path) -> ProblemFile:
 
 def _read_samples(path: Path, grid: Grid, key: str) -> np.ndarray:
     rows = []
+    first = True
     for lineno, raw_line in enumerate(path.read_text().splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -174,8 +174,10 @@ def _read_samples(path: Path, grid: Grid, key: str) -> np.ndarray:
         parts = [part.strip() for part in line.split(",")]
         if len(parts) != 2:
             raise ValueError(f"{key}: {path}:{lineno}: expected 't,value', got {line!r}")
-        if lineno == 1 and not _is_number(parts[0]):
-            continue  # header row
+        if first:
+            first = False
+            if not _is_number(parts[0]):
+                continue  # header row: the first row that is neither blank nor a comment
         try:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError:
@@ -214,25 +216,17 @@ def to_problem(pf: ProblemFile) -> ProblemSpec:
 
 
 def dump_config(pf: ProblemFile) -> str:
-    lines = [
-        f"interval.a = {_fmt(pf.a)}",
-        f"interval.b = {_fmt(pf.b)}",
-        f"p = {_fmt(pf.p)}",
-        f"c.kind = {pf.c_kind}",
-    ]
-    payload = pf.c_payload if pf.c_kind != "constant" else _fmt(float(pf.c_payload))
-    lines.append(f"c.{_KIND_PAYLOAD[pf.c_kind]} = {payload}")
-    lines.append(f"h.kind = {pf.h_kind}")
-    payload = pf.h_payload if pf.h_kind != "constant" else _fmt(float(pf.h_payload))
-    lines.append(f"h.{_KIND_PAYLOAD[pf.h_kind]} = {payload}")
-    lines += [
-        f"bc.d1 = {_fmt(pf.d1)}",
-        f"bc.d2 = {_fmt(pf.d2)}",
-        f"grid.n = {pf.n}",
-        f"solver.method = {pf.method}",
-        f"solver.tol = {_fmt(pf.tol)}",
-        f"solver.max_iter = {pf.max_iter}",
-    ]
+    def scalars(table):
+        return [f"{key} = {_fmt(getattr(pf, field)) if kind is float else getattr(pf, field)}"
+                for key, (field, kind) in table.items()]
+
+    lines = scalars(_REQUIRED)
+    for name in ("c", "h"):
+        kind, payload = getattr(pf, f"{name}_kind"), getattr(pf, f"{name}_payload")
+        if kind == "constant":
+            payload = _fmt(float(payload))
+        lines += [f"{name}.kind = {kind}", f"{name}.{_KIND_PAYLOAD[kind]} = {payload}"]
+    lines += scalars(_OPTIONAL)
     return "\n".join(lines) + "\n"
 
 
@@ -240,9 +234,12 @@ def dump_config(pf: ProblemFile) -> str:
 # commands
 
 
-def _maybe_dump(args, pf: ProblemFile) -> None:
-    if getattr(args, "dump_config", None):
+def _load(args) -> tuple[ProblemFile, ProblemSpec]:
+    """Load the problem file of a check, solve or verify call; write --dump-config first."""
+    pf = load_problem_file(args.file)
+    if args.dump_config:
         Path(args.dump_config).write_text(dump_config(pf))
+    return pf, to_problem(pf)
 
 
 def _solve_by_method(pf: ProblemFile, problem: ProblemSpec):
@@ -250,12 +247,8 @@ def _solve_by_method(pf: ProblemFile, problem: ProblemSpec):
         return direct_solve(problem)
     if pf.method == "superposition":
         return superposition_solve(problem)
-    v = verdict(problem)
-    if v.predicted_sign == "positive":
-        mode = "positive"
-    elif v.predicted_sign == "negative":
-        mode = "negative"
-    else:
+    mode = verdict(problem).predicted_sign
+    if mode not in ("positive", "negative"):
         raise ValueError(
             "fixed-point needs a sign verdict to pick its mode; this problem has none"
         )
@@ -297,17 +290,13 @@ def _print_verdict(v) -> None:
 
 
 def cmd_check(args) -> int:
-    pf = load_problem_file(args.file)
-    _maybe_dump(args, pf)
-    v = verdict(to_problem(pf))
-    _print_verdict(v)
+    _, problem = _load(args)
+    _print_verdict(verdict(problem))
     return 0
 
 
 def cmd_solve(args) -> int:
-    pf = load_problem_file(args.file)
-    _maybe_dump(args, pf)
-    problem = to_problem(pf)
+    pf, problem = _load(args)
     sol = _solve_by_method(pf, problem)
     nodes = problem.grid.nodes
     du = diff(sol.u, 1).values
@@ -325,9 +314,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    pf = load_problem_file(args.file)
-    _maybe_dump(args, pf)
-    problem = to_problem(pf)
+    _, problem = _load(args)
     v = verdict(problem)
     sol = direct_solve(problem)
     cert = sign_certificate(sol)
@@ -440,19 +427,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=0.0)
     sp.add_argument("--a", type=float, default=0.0)
     sp.add_argument("--b", type=float, default=1.0)
+    sp.set_defaults(func=cmd_spectrum)
 
-    for name, helptext in [
-        ("check", "evaluate every rule on a problem file"),
-        ("verify", "solve, certify the sign, and check the a-priori bound"),
+    for name, func, helptext in [
+        ("check", cmd_check, "evaluate every rule on a problem file"),
+        ("verify", cmd_verify, "solve, certify the sign, and check the a-priori bound"),
+        ("solve", cmd_solve, "solve a problem file and write t,u,du,d2u CSV"),
     ]:
         cp = sub.add_parser(name, help=helptext)
         cp.add_argument("file")
+        if name == "solve":
+            cp.add_argument("--out", required=True)
         cp.add_argument("--dump-config", metavar="PATH")
-
-    so = sub.add_parser("solve", help="solve a problem file and write t,u,du,d2u CSV")
-    so.add_argument("file")
-    so.add_argument("--out", required=True)
-    so.add_argument("--dump-config", metavar="PATH")
+        cp.set_defaults(func=func)
 
     gr = sub.add_parser("greens", help="write the discrete kernel matrix for constant c = m")
     gr.add_argument("--p", type=float, default=0.0)
@@ -461,6 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--b", type=float, default=1.0)
     gr.add_argument("--n", type=int, default=200)
     gr.add_argument("--out", required=True)
+    gr.set_defaults(func=cmd_greens)
 
     sw = sub.add_parser("sweep", help="sweep constant c and compare predictions to certificates")
     sw.add_argument("file")
@@ -469,31 +457,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--to", dest="stop", type=float, required=True)
     sw.add_argument("--steps", type=int, required=True)
     sw.add_argument("--out", required=True)
+    sw.set_defaults(func=cmd_sweep)
     return parser
-
-
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "check": cmd_check,
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "greens": cmd_greens,
-    "sweep": cmd_sweep,
-}
 
 
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return 1
-    except ExpressionError as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+        return args.func(args)
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -16,6 +16,7 @@ some node) carry the byte offset of the offending token in the source text.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -238,8 +239,15 @@ class _Parser:
         raise ExpressionError(f"unexpected token {tok.text!r}", tok.offset)
 
 
+# small: the reuse that matters is a problem file's own expressions, parsed
+# once to check them and again to sample them
+@functools.lru_cache(maxsize=32)
 def parse_expression(source: str) -> Expression:
-    """Parse ``source`` into an :class:`Expression`; raises :class:`ExpressionError`."""
+    """Parse ``source`` into an :class:`Expression`; raises :class:`ExpressionError`.
+
+    Parses are memoised by source text, which is safe because an Expression
+    is immutable; a failed parse is not cached, so it raises again.
+    """
     if not source.strip():
         raise ExpressionError("empty expression", 0)
     return Expression(source=source, root=_Parser(source).parse())

@@ -112,9 +112,9 @@ class ProblemSpec:
     """Data of u'''' - p u'' + c(t) u = h(t) with hinged ends.
 
     The boundary conditions are u(a) = u(b) = 0, u''(a) = d1, u''(b) = d2
-    with d1, d2 <= 0; d1 = d2 = 0 is the homogeneous (simply supported)
-    case.  The fields c and h must be sampled on one and the same grid over
-    the problem interval.
+    with d1, d2 finite and <= 0; d1 = d2 = 0 is the homogeneous (simply
+    supported) case.  The fields c and h must be sampled on one and the same
+    grid over the problem interval.
     """
 
     interval: Interval
@@ -130,6 +130,8 @@ class ProblemSpec:
             raise ValueError(
                 f"end moments must be nonpositive, got d1 = {self.d1}, d2 = {self.d2}"
             )
+        if not (np.isfinite(self.d1) and np.isfinite(self.d2)):
+            raise ValueError(f"end moments must be finite, got d1 = {self.d1}, d2 = {self.d2}")
         if self.c.grid != self.h.grid:
             raise ValueError("c and h must be sampled on the same grid")
         if self.c.grid.interval != self.interval:

@@ -48,6 +48,10 @@ class GreensMatrix:
     remainder at the returned entries; for the discrete one
     ``forward_error_bound`` bounds max|G - G_exact| / max|G| against the
     exact kernel of the discrete operator (see :func:`greens_discrete`).
+    That bound can differ in its last digit between calls on identical
+    factors, because LAPACK ``gbcon`` is not bit-reproducible (at n = 200,
+    p = 5, c = 0 it returned rcond 4.999812507030961e-05 on some calls and
+    4.9998125070309596e-05 on others).
     """
 
     grid: Grid

@@ -5,9 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamsign
+from beamsign import cli, expressions
 from beamsign.cli import (
+    ProblemFile,
     dump_config,
     load_problem_file,
     parse_problem_text,
@@ -415,3 +419,103 @@ def test_nan_fixed_point_tolerance_is_an_input_error(tmp_path, capsys):
     path = write_problem(tmp_path, text)
     assert run(["solve", str(path), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == "error: input: tol must be positive, got nan\n"
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "verify"])
+@pytest.mark.parametrize("moment", ["nan", "-inf"])
+def test_nonfinite_end_moment_is_an_input_error(tmp_path, capsys, command, moment):
+    path = write_problem(tmp_path, BASE.format(c=-250) + f"bc.d1 = {moment}\n")
+    extra = ["--out", str(tmp_path / "u.csv")] if command == "solve" else []
+    assert run([command, str(path)] + extra) == 1
+    assert capsys.readouterr().err == (
+        f"error: input: end moments must be finite, got d1 = {moment}, d2 = 0.0\n"
+    )
+
+
+def test_samples_header_is_the_first_row_not_blank_or_a_comment(tmp_path, capsys):
+    nodes = np.linspace(0.0, 1.0, 9)
+    rows = [f"{repr(float(t))},-200.0" for t in nodes]
+    text = (
+        "interval.a = 0\ninterval.b = 1\np = 0\n"
+        "c.kind = samples\nc.path = cfield.csv\n"
+        "h.kind = constant\nh.value = 1\n"
+        "grid.n = 8\n"
+    )
+    path = write_problem(tmp_path, text)
+    (tmp_path / "cfield.csv").write_text("\n".join(["# c at the grid nodes", "", "t,value"] + rows))
+    assert run(["check", str(path)]) == 0
+    assert "rule = Cor2_1_neg" in capsys.readouterr().out
+    (tmp_path / "cfield.csv").write_text("\n".join(["t,value", "t,value"] + rows))
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().err.endswith("cfield.csv:2: non-numeric row 't,value'\n")
+
+
+def test_to_problem_tokenizes_each_expression_once(monkeypatch):
+    # expression texts that no other test parses, so no earlier parse is reused
+    c_expr = "-0.40625*t + 3.078125"
+    h_expr = "1 + 0.0390625*sin(pi*t)"
+    tokenized = []
+    tokenize = expressions._tokenize
+    monkeypatch.setattr(
+        expressions, "_tokenize", lambda source: tokenized.append(source) or tokenize(source)
+    )
+    text = (
+        "interval.a = 0\ninterval.b = 1\np = 0\n"
+        f"c.kind = expression\nc.expr = {c_expr}\n"
+        f"h.kind = expression\nh.expr = {h_expr}\n"
+    )
+    to_problem(parse_problem_text(text, None))
+    assert sorted(tokenized) == sorted([c_expr, h_expr])
+
+
+def test_every_scalar_key_is_documented():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Problem files", 1)[1].split("\n## ", 1)[0]
+    for key in [*cli._REQUIRED, *cli._OPTIONAL]:
+        assert key in cli.__doc__
+        assert f"\n{key} = " in block
+
+
+_FIELD_PAYLOADS = {
+    "constant": st.floats().map(repr),
+    "expression": st.sampled_from(
+        ["t", "1000*sin(pi*t)^2", "-250 + 20*sin(pi*t)", "exp(-t)/(1 + t^2)", "abs(t - 0.5)"]
+    ),
+    "samples": st.text(alphabet="abcxyz019._/-", min_size=1, max_size=12),
+}
+_OPTIONAL_VALUES = {
+    float: st.floats().map(repr),
+    int: st.integers().map(str),
+    cli._METHODS: st.sampled_from(cli._METHODS),
+}
+
+
+@st.composite
+def _problem_texts(draw):
+    lines = [f"{key} = {draw(st.floats().map(repr))}" for key in cli._REQUIRED]
+    for name in ("c", "h"):
+        kind = draw(st.sampled_from(sorted(_FIELD_PAYLOADS)))
+        lines.append(f"{name}.kind = {kind}")
+        lines.append(f"{name}.{cli._KIND_PAYLOAD[kind]} = {draw(_FIELD_PAYLOADS[kind])}")
+    present = {}
+    for key, (_, kind) in cli._OPTIONAL.items():
+        if draw(st.booleans()):
+            present[key] = draw(_OPTIONAL_VALUES[kind])
+            lines.append(f"{key} = {present[key]}")
+    order = draw(st.permutations(lines))
+    return "\n".join(order) + "\n", present
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problem_texts())
+def test_dump_config_round_trips_every_key(case):
+    text, present = case
+    pf = parse_problem_text(text, Path("."))
+    canon = dump_config(pf)
+    assert dump_config(parse_problem_text(canon, Path("."))) == canon
+    defaults = ProblemFile(a=0.0, b=1.0, p=0.0, c_kind="constant", c_payload="0",
+                           h_kind="constant", h_payload="0")
+    for key, (field, kind) in cli._OPTIONAL.items():
+        expected = getattr(defaults, field) if key not in present else (
+            present[key] if isinstance(kind, tuple) else kind(present[key]))
+        assert repr(getattr(pf, field)) == repr(expected)
