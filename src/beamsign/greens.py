@@ -17,7 +17,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ResonanceError
 from .fields import Grid, ScalarField, require_p
-from .solver import _resolve_grid, _resonance_error, _solve_refined, assemble
+from .solver import (
+    _KERNEL_BLOCK,
+    _equilibrated_split_error,
+    _resolve_grid,
+    _resonance_error,
+    _solve_refined,
+    assemble,
+)
 
 __all__ = [
     "GreensMatrix",
@@ -34,9 +41,6 @@ __all__ = [
 # c >= -97, 0.4 from -lambda_1, while c on the split operator's own first
 # eigenvalue -(mu_1^2 + p mu_1) gives 1e5 or more
 _KERNEL_RTOL = 1e-3
-# kernel columns per trailing solve in greens_discrete: 48 and 64 tie as the
-# fastest at n = 250 and n = 1000, while 32 and 96 are up to 5 % slower
-_KERNEL_BLOCK = 48
 
 
 @dataclass(eq=False)
@@ -162,9 +166,13 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     G is formed.  Every block solve is a transposed solve with a Schur
     complement of M, so the bound of the full solve covers it, with max|y|
     taken over the rows the block returns (the argument is in
-    ``OperatorMatrix._solve_split_transposed``).  Raises
+    ``OperatorMatrix._solve_split_transposed``).  When that bound exceeds
+    ``_KERNEL_RTOL`` = 1e-3 it is taken again on column-equilibrated factors
+    (``solver._equilibrated_split_error``), which a large c can shrink by
+    orders of magnitude; the same Schur-complement argument covers the
+    blocks, and the smaller of the two is reported.  Raises
     :class:`~beamsign.errors.ResonanceError`, with the bound in its message,
-    when the bound exceeds ``_KERNEL_RTOL`` = 1e-3.
+    when both exceed 1e-3.
     """
     grid = _resolve_grid(c.grid, grid)
     op = assemble(p, c, grid)
@@ -191,6 +199,8 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     np.add(lower, lower.T, out=vals[1:-1, 1:-1])
     # the bound per max|y| becomes one per max|G|; the u-rows hold (L + p) G
     bound = error * top / scale if np.isfinite(error) else np.inf
+    if np.isfinite(error) and not bound <= _KERNEL_RTOL:
+        bound = min(bound, _equilibrated_split_error(op) * top / scale)
     if not bound <= _KERNEL_RTOL:
         raise _resonance_error(
             op, f"the kernel's forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g}; "

@@ -16,10 +16,14 @@ scale like spacing**-4, a plain float64 solve leaves interior residuals around
 correction with the residual accumulated in extended precision, and by more
 (up to three in all) only while the residual still misses the caller's bound.
 That brings the residual into the 1e-10 range and keeps the strict residual
-contract checkable.  The superposition solve forms its kernel and moment
-responses in float64, sums them, refines only that sum, and checks that the
-sum agrees with the refined solution, so its extended-precision work is on
-one vector, never on the n x n kernel.
+contract checkable.  The superposition solve folds the end moments into the
+weights of the kernel columns, solves only the lower triangle of the
+symmetric kernel in float64, in blocks on the trailing factors, sums it
+block by block, refines only that sum, and checks that the sum agrees with
+the refined solution, so its extended-precision work is on one vector, never
+on the n x n kernel.  Inverse iteration likewise estimates its eigenvalue in
+float64 and takes the extended-precision Rayleigh quotient only over its
+last few steps.
 
 The discrete kernel (``greens.greens_discrete``) is not solved on that band.
 Its entries 6/spacing**4 + 2 p/spacing**2 + c round c away at large n, so a
@@ -62,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ResonanceError
-from .fields import Grid, ProblemSpec, ScalarField, diff, extrema, integrate, require_p, sup_norm
+from .fields import Grid, ProblemSpec, ScalarField, extrema, integrate, require_p, sup_norm
 from .spectrum import SpectralData, delta1, lambda_k, nearest_mode
 
 __all__ = [
@@ -85,9 +89,14 @@ _REFINE_STEPS = 3
 _GAMMA13 = 13 * 2.0**-53 / (1.0 - 13 * 2.0**-53)
 # largest gap, relative to sup|u|, allowed between the float64 kernel sum and
 # the refined solution: rounding gives up to 7e-9 at n = 250 and 2.3e-7 at
-# n = 1000, while at n = 200 a zeroed or shifted load column, all load columns
-# scaled by 1.001, or the two moment columns swapped move the sum by 6e-5 or more
+# n = 1000, while at n = 200 a zeroed or shifted kernel column, the zeroed
+# first column (which also carries d1), or every column scaled by 1.001 moves
+# the sum by 1e-3 or more
 _SUPERPOSITION_RTOL = 1e-5
+# kernel columns per trailing solve, in greens_discrete and superposition_solve:
+# 48 and 64 tie as the fastest at n = 250 and n = 1000, while 32 and 96 are up
+# to 5 % slower
+_KERNEL_BLOCK = 48
 
 
 def _resolve_grid(own: Grid, given: Grid | None) -> Grid:
@@ -157,8 +166,8 @@ class OperatorMatrix:
             self._band_ld = self.band.astype(np.longdouble)
         return self._band_ld
 
-    def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """Interior-block solve in float64; ``rhs`` has n - 1 rows.
+    def _solve_interior(self, rhs: np.ndarray, start: int = 0) -> np.ndarray:
+        """Interior-block solve in float64; ``rhs`` has n - 1 - ``start`` rows.
 
         A matrix of right-hand sides is solved with the transposed factors,
         which sweep Fortran-ordered columns faster, and is overwritten when
@@ -166,6 +175,13 @@ class OperatorMatrix:
         interior block equals its transpose exactly (``assemble`` writes the
         same expression on both off-diagonals), with different rounding.  A
         vector takes the plain solve.
+
+        With ``start`` = r > 0 a matrix is solved on the trailing factors
+        ``lu[:, r:]`` with the pivots ``piv[r:] - r``.  When the full
+        right-hand side vanishes in rows 0 .. r - 1, rows r + 2 and below of
+        the result equal those of the full transposed solve bit for bit, by
+        the argument of :meth:`_solve_split_transposed` (the band has two
+        subdiagonals here too).
         """
         lapack = _lapack()  # loaded at the first solve, without scipy.linalg
         if self._lu is None:
@@ -177,6 +193,8 @@ class OperatorMatrix:
             self._lu = (lu, piv)
         lu, piv = self._lu
         if rhs.ndim == 2:
+            if start:
+                lu, piv = lu[:, start:], piv[start:] - start
             return lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0]
         return lapack.dgbtrs(lu, 2, 2, rhs, piv)[0]
 
@@ -292,7 +310,9 @@ def _lu_column_sums(lu: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _split_error(lapack, lu: np.ndarray, piv: np.ndarray, norm: float) -> float:
+def _split_error(
+    lapack, lu: np.ndarray, piv: np.ndarray, norm: float, scale: np.ndarray | None = None
+) -> float:
     """The bound on max|y - y_exact| / max|y| for every transposed solve on these factors.
 
     ``gbtrs`` computes y with (M + F)^T y = b and |F| <= gamma_13 |P L| |U|:
@@ -301,11 +321,38 @@ def _split_error(lapack, lu: np.ndarray, piv: np.ndarray, norm: float) -> float:
     max|y - y_exact| = max|M^-T F^T y| <= ||M^-1||_1 ||F||_1 max|y|, with
     ||F||_1 from :func:`_lu_column_sums` and ||M^-1||_1 from LAPACK's
     condition estimate (``gbcon``; ``norm`` is ||M||_1).
+
+    With ``scale``, a positive vector d of column scales, the same holds
+    with M D and F D in place of M and F, because M^-T F^T = (M D)^-T
+    (F D)^T: ``norm`` is then ||M D||_1, the condition estimate runs on the
+    factors P L (U D) of M D, and ||F D||_1 <= gamma_13 max_j d_j
+    colsum_j(|P L| |U|).  Column equilibration (d_j = 1 / max_i |M[i, j]|)
+    keeps a large c from inflating both factors at once.
     """
+    sums = _lu_column_sums(lu)
+    if scale is not None:
+        lu = lu.copy(order="F")
+        lu[:5] *= scale  # U D: rows 0 .. 4 hold the columns of U
+        sums *= scale
     rcond, info = lapack.dgbcon(2, 2, lu, piv, norm, norm="1")
     if info != 0 or not rcond > 0.0:
         return np.inf
-    return _GAMMA13 * float(np.max(_lu_column_sums(lu))) / (rcond * norm)
+    return _GAMMA13 * float(np.max(sums)) / (rcond * norm)
+
+
+def _equilibrated_split_error(op: OperatorMatrix) -> float:
+    """:func:`_split_error` of ``op``'s split factors after column equilibration of M.
+
+    As rigorous as the plain bound, and often far below it when the entries
+    of M differ in size by many orders, as with c = 1e8; it costs one more
+    ``gbcon`` call, so callers take it only when the plain bound misses.
+    ``op``'s split system must be factored.
+    """
+    lu, piv, _ = op._split
+    m_abs = np.abs(_split_band(op)[2:])  # |M| in its five diagonals, by column
+    scale = 1.0 / np.max(m_abs, axis=0)
+    norm = float(np.max(np.sum(m_abs, axis=0) * scale))
+    return _split_error(_lapack(), lu, piv, norm, scale)
 
 
 def _band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -435,33 +482,46 @@ def direct_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionFiel
 def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionField:
     """Solve through the discrete kernel: u = G (h w) + d1 y_a + d2 y_b.
 
-    One float64 solve on the operator's single factorization gives the
-    interior block of the kernel G (columns for the scaled unit loads
-    e_j / spacing) and the two moment responses y_a, y_b; their
-    superposition, with the nodal weights w = spacing, is one matrix-vector
-    product.  That sum is then refined as a solution of the operator, so
-    extended precision touches only the returned vector.  Refinement would
-    correct any start, so the sum must also agree with the refined u to
+    G is the kernel of the interior block (columns for the scaled unit loads
+    e_j / spacing), w = spacing the nodal weights, and y_a, y_b the moment
+    responses.  For the discrete operator y_a = -G e_1 / spacing and
+    y_b = -G e_{n-1} / spacing exactly, so the end moments fold into the
+    weights: u = G w' with w' = spacing times the right-hand side of
+    :func:`direct_solve`.  G is symmetric, so only its lower triangle is
+    solved, in float64 on the operator's single factorization, in blocks of
+    ``_KERNEL_BLOCK`` columns: the block from column j0 takes one transposed
+    solve on the trailing factors from row j0 - 2, whose rows from j0 on
+    equal those of a full solve bit for bit.  Each block B, zeroed above its
+    diagonal, adds B w'[j0:j1] to rows j0 .. n-2 and B^T w'[j0:] less its
+    diagonal part to rows j0 .. j1-1; no n x n matrix is formed.
+
+    That sum is then refined as a solution of the operator, so extended
+    precision touches only the returned vector.  Refinement would correct
+    any start, so the sum must also agree with the refined u to
     ``_SUPERPOSITION_RTOL`` * sup|u|: that check is what makes G answer for
     the result.  Raises :class:`~beamsign.errors.ResonanceError` when the
     check fails or under the same residual bound as :func:`direct_solve`.
     """
     grid = _resolve_grid(problem.grid, grid)
     op = assemble(problem.p, problem.c, grid)
-    n = grid.n
-    dx = grid.spacing
-    # columns 0 .. n-2: unit loads at nodes 1 .. n-1; columns n-1, n: unit moments at a, b
-    loads = np.zeros((n - 1, n + 1), order="F")  # the layout LAPACK reads without a copy
-    np.fill_diagonal(loads, 1.0 / dx)
-    loads[0, n - 1] = -(dx**-2)
-    loads[-1, n] = -(dx**-2)
-    responses = op._solve_interior(loads)
-    hv = np.asarray(problem.h.values, dtype=np.float64)
-    weights = np.concatenate((hv[1:-1] * dx, (problem.d1, problem.d2)))
-    u0 = np.zeros(n + 1)
-    u0[1:-1] = responses @ weights
+    m = grid.n - 1
+    rhs = _rhs_vector(op, problem)
+    weights = rhs[1:-1] * grid.spacing  # h w, with d1 and d2 in the first and last entries
+    u0 = np.zeros(grid.n + 1)
+    inner = u0[1:-1]
+    keep = np.tri(_KERNEL_BLOCK)  # ones on and below the diagonal
+    for j0 in range(0, m, _KERNEL_BLOCK):
+        j1 = min(j0 + _KERNEL_BLOCK, m)
+        width = j1 - j0
+        start = max(j0 - 2, 0)  # rows from j0 on are exact from this start
+        loads = np.zeros((m - start, width), order="F")  # the layout LAPACK reads without a copy
+        loads[j0 - start + np.arange(width), np.arange(width)] = 1.0 / grid.spacing
+        block = op._solve_interior(loads, start)[j0 - start :]
+        block[:width] *= keep[:width, :width]
+        inner[j0:] += block @ weights[j0:j1]
+        inner[j0:j1] += block.T @ weights[j0:] - block.diagonal() * weights[j0:j1]
     bound = _residual_bound(problem)
-    u, res = _solve_refined(op, _rhs_vector(op, problem), bound, start=u0)
+    u, res = _solve_refined(op, rhs, bound, start=u0)
     if not np.isfinite(res) or res > bound:
         raise _resonance_error(op)
     uf = np.asarray(u, dtype=np.float64)
@@ -613,9 +673,10 @@ def sign_certificate(u, tol: float | None = None) -> SignCertificate:
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     interior = vals[1:-1]
-    du = np.asarray(diff(fld, 1).values, dtype=np.float64)
-    slope_a = float(du[0])
-    slope_b = float(du[-1])
+    # the end formulas of np.gradient(vals, spacing, edge_order=2), as diff(fld, 1) takes them
+    dx = fld.grid.spacing
+    slope_a = float((-1.5 / dx) * vals[0] + (2.0 / dx) * vals[1] + (-0.5 / dx) * vals[2])
+    slope_b = float((0.5 / dx) * vals[-3] + (-2.0 / dx) * vals[-2] + (1.5 / dx) * vals[-1])
     if np.all(interior > tol):
         sign = "positive"
     elif np.all(interior < -tol):
@@ -653,15 +714,19 @@ def rhs_norm_bound(h: ScalarField, p: float, interval, r_min: float = 0.0) -> fl
 def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 500) -> float:
     """Smallest eigenvalue of the interior block by inverse power iteration.
 
-    The Rayleigh quotient is accumulated in extended precision because the
+    Each step solves w = A^-1 v for the unit vector v on the cached factors.
+    Until the vector has settled the estimate is theta = 1 / (v . w), taken
+    in float64.  Once theta's relative change drops to ``tol``, or stops
+    shrinking after the third step, the estimate becomes the Rayleigh
+    quotient of w / |w|, accumulated in extended precision because the
     matrix norm grows like spacing**-4 and float64 products would drown the
-    update in rounding noise.  The iteration returns either when the update
-    drops below ``tol`` or when it stops shrinking, whichever comes first.
+    update in rounding noise.  The iteration returns that quotient when its
+    update drops below ``tol`` or stops shrinking, whichever comes first.
     """
     rng = np.random.default_rng(7)
     v = rng.standard_normal(op.grid.n + 1)[1:-1]  # the end components are zero
     v /= np.linalg.norm(v)
-    band_ld = op.band_extended()[:, 1:-1]
+    band_ld = None  # the extended-precision band, once theta has settled
     lam = None
     prev_delta = np.inf
     for it in range(max_iter):
@@ -669,16 +734,27 @@ def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 
         norm = np.linalg.norm(w)
         if norm == 0.0 or not np.isfinite(norm):
             raise ConvergenceError("inverse power iteration broke down")
+        vw = float(v @ w)  # v . A^-1 v
         w /= norm
-        w_ld = w.astype(np.longdouble)
-        new = float(w_ld @ _band_matvec(band_ld, w_ld))  # Rayleigh quotient
+        if band_ld is None:
+            new = 1.0 / vw if vw else np.inf  # theta
+        else:
+            new = _rayleigh_quotient(band_ld, w)
         if lam is not None:
             delta = abs(new - lam)
-            if delta <= tol * max(1.0, abs(new)):
-                return new
-            if it >= 3 and delta >= prev_delta:
-                return new  # update stopped shrinking: at the rounding floor
+            if delta <= tol * max(1.0, abs(new)) or (it >= 3 and delta >= prev_delta):
+                if band_ld is not None:
+                    return new  # settled, or at the rounding floor
+                band_ld = op.band_extended()[:, 1:-1]
+                new = _rayleigh_quotient(band_ld, w)
+                delta = np.inf
             prev_delta = delta
         lam = new
         v = w
     raise ConvergenceError(f"inverse power iteration did not settle within {max_iter} steps")
+
+
+def _rayleigh_quotient(band_ld: np.ndarray, w: np.ndarray) -> float:
+    # w . A w in extended precision for a unit vector w
+    w_ld = w.astype(np.longdouble)
+    return float(w_ld @ _band_matvec(band_ld, w_ld))

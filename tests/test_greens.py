@@ -143,20 +143,40 @@ def test_greens_discrete_is_within_its_own_bound_near_resonance():
         assert err <= G.forward_error_bound <= 1e-3
 
 
-@pytest.mark.xfail(
-    raises=ResonanceError,
-    strict=True,
-    reason="false ResonanceError: at n = 200 and c = 1e8, far from every -lambda_k, the "
-    "normwise forward-error bound reads 1.8e-3 > 1e-3, while the float64 kernel matches "
-    "the DST-I closed form to 3.6e-15 of max|G|; a column-scaled bound is the open fix",
-)
 def test_greens_discrete_accepts_a_large_coefficient():
-    n = 200
-    grid = Grid(UNIT, n)
-    G = greens_discrete(0.0, ScalarField.constant(grid, 1e8), grid)
-    cols = np.arange(1, n)
-    ref = _sine_transform_kernel(0.0, 1e8, n, cols)
-    assert np.max(np.abs(G.values[:, cols] - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # far from every -lambda_k the normwise bound missed 1e-3 here (1.8e-3 at
+    # n = 200 and c = 1e8), while the kernel matches the closed form to
+    # 3.6e-15; the column-equilibrated bound is below 1e-4 and still holds
+    for n in (100, 200, 400):
+        grid = Grid(UNIT, n)
+        cols = np.arange(1, n)
+        for cv in (1e8, 1e9):
+            G = greens_discrete(0.0, ScalarField.constant(grid, cv), grid)
+            ref = _sine_transform_kernel(0.0, cv, n, cols)
+            err = np.max(np.abs(G.values[:, cols] - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-10
+            assert err <= G.forward_error_bound <= 1e-4
+
+
+def test_the_equilibrated_bound_is_taken_only_when_the_plain_bound_misses(monkeypatch):
+    # one condition estimate per factorization on the common path, so its
+    # bound and kernel are those of the plain bound; a second one at c = 1e8
+    from beamsign import solver
+
+    lapack = solver._lapack()
+    estimate = lapack.dgbcon
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbcon", counting)
+    grid = Grid(UNIT, 200)
+    for cv, expected in ((0.0, 1), (-97.0, 1), (3000.0, 1), (1e8, 2)):
+        calls.clear()
+        greens_discrete(5.0, ScalarField.constant(grid, cv), grid)
+        assert len(calls) == expected
 
 
 def _record_operators(monkeypatch) -> list:

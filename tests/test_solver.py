@@ -475,49 +475,117 @@ def test_superposition_is_the_sum_of_kernel_and_moment_responses():
     assert np.max(np.abs(u - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
-def _swap_moment_columns(r):
-    return r[:, list(range(r.shape[1] - 2)) + [-1, -2]]
+# corruptions of one block of kernel columns: rows j0 .. n-2 of the responses to
+# the scaled unit loads at interior nodes j0 + 1 .. j1 (interior rows and
+# columns numbered from 0)
 
 
-def _drop_one_load_column(r):
-    r = r.copy()
-    r[:, 100] = 0.0
-    return r
+def _drop_one_load_column(block, j0):
+    if j0 <= 100 < j0 + block.shape[1]:
+        block[:, 100 - j0] = 0.0
+    return block
 
 
-def _misscale_load_columns(r):
-    r = r.copy()
-    r[:, :-2] *= 1.001
-    return r
+def _drop_the_first_load_column(block, j0):
+    # node 1, whose weight also carries d1
+    if j0 == 0:
+        block[:, 0] = 0.0
+    return block
 
 
-def _shift_load_columns(r):
-    return np.concatenate((r[:, 1:-2], r[:, :1], r[:, -2:]), axis=1)
+def _misscale_load_columns(block, j0):
+    return block * 1.001
+
+
+def _shift_load_columns(block, j0):
+    return np.roll(block, -1, axis=1)
+
+
+def _blocks_of(solve, change):
+    # wraps OperatorMatrix._solve_interior so that change(block, j0) sees each
+    # block of kernel columns from the first row the superposition reads
+    def wrapped(self, rhs, start=0):
+        if rhs.ndim == 1:
+            return solve(self, rhs, start)
+        j0 = start + int(np.flatnonzero(rhs[:, 0])[0])  # column 0 loads node j0 + 1
+        out = solve(self, rhs, start)
+        out[j0 - start :] = change(out[j0 - start :], j0)
+        return out
+
+    return wrapped
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_swap_moment_columns, _drop_one_load_column, _misscale_load_columns, _shift_load_columns],
+    [_drop_one_load_column, _misscale_load_columns, _shift_load_columns, _drop_the_first_load_column],
 )
 def test_superposition_rejects_a_wrong_kernel_column(monkeypatch, corrupt):
     # refinement alone would turn any start into the solution; the kernel sum
     # must still agree with it, so a wrong column cannot go unnoticed
     from beamsign import solver
 
-    solve = solver.OperatorMatrix._solve_interior
-
-    def corrupted(self, rhs):
-        out = solve(self, rhs)
-        return corrupt(out) if out.ndim == 2 else out
-
     grid = Grid(UNIT, 200)
     c = ScalarField(grid, -60.0 + 40.0 * np.cos(2.0 * grid.nodes))
     h = ScalarField(grid, 1.0 + 0.5 * np.sin(3.0 * np.pi * grid.nodes))
     problem = ProblemSpec(UNIT, 5.0, c, h, d1=-0.7, d2=-1.3)
     superposition_solve(problem)
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", corrupted)
+    solve = solver.OperatorMatrix._solve_interior
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", _blocks_of(solve, corrupt))
     with pytest.raises(ResonanceError, match="kernel sum"):
         superposition_solve(problem)
+
+
+def test_superposition_solves_at_most_one_block_of_loads_at_a_time(monkeypatch):
+    # no n x n matrix of loads: the kernel goes through the solver in blocks
+    from beamsign import solver
+
+    widths = []
+    solve = solver.OperatorMatrix._solve_interior
+
+    def recording(self, rhs, start=0):
+        if rhs.ndim == 2:
+            widths.append(rhs.shape[1])
+            # a trailing solve starts two rows above its first load, which
+            # keeps the rows from that load on exact (see the next test)
+            assert start == 0 or not np.any(rhs[:2])
+        return solve(self, rhs, start)
+
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", recording)
+    for n in (8, 200, 600):
+        widths.clear()
+        problem = unit_problem(n, 40.0, d1=-1.0, d2=-0.5)
+        superposition_solve(problem)
+        assert widths and max(widths) <= solver._KERNEL_BLOCK
+        assert sum(widths) == n - 1  # every kernel column once
+
+
+@pytest.mark.parametrize("n", [8, 10, 96, 98, 100, 200])
+def test_trailing_interior_solves_match_one_full_transposed_solve(n):
+    # the block from column j0 on, solved on the trailing factors from row
+    # j0 - 2, keeps rows j0 and below exactly as the full solve gives them
+    from beamsign import solver
+
+    grid = Grid(UNIT, n)
+    t = grid.nodes
+    m = n - 1
+    cases = [
+        (0.0, np.zeros(n + 1)),
+        (2.0, -250.0 + 30.0 * np.sin(np.pi * t)),  # past -lambda_1: the block pivots
+        (5.0, -2000.0 + 100.0 * np.cos(3.0 * t)),
+    ]
+    pivoted = False
+    for p, cv in cases:
+        op = assemble(p, ScalarField(grid, cv), grid)
+        full = op._solve_interior(np.asfortranarray(np.eye(m) / grid.spacing))
+        for j0 in range(0, m, solver._KERNEL_BLOCK):
+            j1 = min(j0 + solver._KERNEL_BLOCK, m)
+            start = max(j0 - 2, 0)
+            loads = np.zeros((m - start, j1 - j0), order="F")
+            loads[j0 - start + np.arange(j1 - j0), np.arange(j1 - j0)] = 1.0 / grid.spacing
+            block = op._solve_interior(loads, start)
+            assert np.array_equal(block[j0 - start :], full[j0:, j0:j1])
+        pivoted |= bool(np.any(op._lu[1] != np.arange(m)))
+    assert pivoted
 
 
 def test_only_a_matrix_of_loads_takes_the_transposed_sweep():
@@ -539,34 +607,42 @@ def test_only_a_matrix_of_loads_takes_the_transposed_sweep():
     assert np.array_equal(block, lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1)[0])
 
 
-def test_superposition_agrees_with_the_untransposed_kernel_solve(monkeypatch):
+def test_superposition_agrees_with_the_untransposed_kernel_solve():
+    # the reference is the full kernel and both moment responses solved with
+    # the plain (untransposed) sweep, summed, and refined the same way
     from beamsign import solver
-
-    solve = solver.OperatorMatrix._solve_interior
-
-    def untransposed(self, rhs):
-        if rhs.ndim == 1:
-            return solve(self, rhs)
-        solve(self, np.zeros(rhs.shape[0]))  # factors the block at the first call
-        lu, piv = self._lu
-        return solver._lapack().dgbtrs(lu, 2, 2, rhs, piv)[0]
 
     cases = [
         (200, 5.0, lambda t: -60.0 + 40.0 * np.cos(2.0 * t)),
         (250, 0.0, lambda t: np.full(t.shape, -250.0)),
         (250, 50.0, lambda t: 900.0 * np.sin(np.pi * t)),
         (600, 2.0, lambda t: np.full(t.shape, -80.0)),
+        (1000, 50.0, lambda t: 900.0 * np.sin(np.pi * t)),
+        (1000, 5.0, lambda t: 300.0 + 100.0 * np.cos(2.0 * t)),
     ]
-    problems = []
     for n, p, c_of in cases:
         grid = Grid(UNIT, n)
         t = grid.nodes
         h = ScalarField(grid, 1.0 + 0.5 * np.sin(3.0 * np.pi * t))
-        problems.append(ProblemSpec(UNIT, p, ScalarField(grid, c_of(t)), h, d1=-0.7, d2=-1.3))
-    swept = [np.asarray(superposition_solve(pr).u.values, dtype=np.float64) for pr in problems]
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", untransposed)
-    for problem, u in zip(problems, swept):
-        ref = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
+        problem = ProblemSpec(UNIT, p, ScalarField(grid, c_of(t)), h, d1=-0.7, d2=-1.3)
+        u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
+
+        op = assemble(p, problem.c, grid)
+        op._solve_interior(np.zeros(n - 1))  # factors the block
+        lu, piv = op._lu
+        dx = grid.spacing
+        loads = np.zeros((n - 1, n + 1))  # unit loads at nodes 1 .. n-1, unit moments at a, b
+        np.fill_diagonal(loads, 1.0 / dx)
+        loads[0, n - 1] = -(dx**-2)
+        loads[-1, n] = -(dx**-2)
+        responses = solver._lapack().dgbtrs(lu, 2, 2, loads, piv)[0]
+        weights = np.concatenate((np.asarray(h.values)[1:-1] * dx, (problem.d1, problem.d2)))
+        u0 = np.zeros(n + 1)
+        u0[1:-1] = responses @ weights
+        bound = solver._residual_bound(problem)
+        ref, res = solver._solve_refined(op, solver._rhs_vector(op, problem), bound, start=u0)
+        assert res <= bound
+        ref = np.asarray(ref, dtype=np.float64)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -598,3 +674,78 @@ def test_fixed_point_reports_a_missed_residual_bound():
     message = str(info.value)
     assert "residual" in message
     assert "bound 2.000e-08" in message
+
+
+def _eigenvalue_with_a_quotient_at_every_step(op, tol=1e-12, max_iter=500):
+    # inverse iteration that takes the extended-precision Rayleigh quotient at
+    # every step and stops when its update is below tol or stops shrinking
+    from beamsign import solver
+
+    v = np.random.default_rng(7).standard_normal(op.grid.n + 1)[1:-1]
+    v /= np.linalg.norm(v)
+    band_ld = op.band_extended()[:, 1:-1]
+    lam, prev_delta = None, np.inf
+    for it in range(max_iter):
+        w = op._solve_interior(v)
+        w /= np.linalg.norm(w)
+        w_ld = w.astype(np.longdouble)
+        new = float(w_ld @ solver._band_matvec(band_ld, w_ld))
+        if lam is not None:
+            delta = abs(new - lam)
+            if delta <= tol * max(1.0, abs(new)) or (it >= 3 and delta >= prev_delta):
+                return new
+            prev_delta = delta
+        lam = new
+        v = w
+    raise AssertionError("the reference iteration did not settle")
+
+
+@pytest.mark.parametrize(
+    "n, p, c_value",
+    [(250, 50.0, 5000.0), (250, 0.0, -300.0), (1000, 0.0, -300.0), (1000, 50.0, 5000.0)],
+)
+def test_smallest_eigenvalue_agrees_with_a_quotient_at_every_step(n, p, c_value):
+    grid = Grid(UNIT, n)
+    op = assemble(p, ScalarField.constant(grid, c_value), grid)
+    ref = _eigenvalue_with_a_quotient_at_every_step(op)
+    assert abs(smallest_eigenvalue(op) - ref) <= 1e-9 * abs(ref)
+
+
+def test_smallest_eigenvalue_takes_the_extended_quotient_only_at_the_end(monkeypatch):
+    # about 25 steps here; the float64 estimate carries all but the last few
+    from beamsign import solver
+
+    grid = Grid(UNIT, 250)
+    op = assemble(50.0, ScalarField.constant(grid, 5000.0), grid)
+    steps, extended = [], []
+    solve, matvec = solver.OperatorMatrix._solve_interior, solver._band_matvec
+
+    def counting_solve(self, rhs, start=0):
+        steps.append(1)
+        return solve(self, rhs, start)
+
+    def counting_matvec(band, u):
+        if u.dtype == np.longdouble:
+            extended.append(1)
+        return matvec(band, u)
+
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", counting_solve)
+    monkeypatch.setattr(solver, "_band_matvec", counting_matvec)
+    solver.smallest_eigenvalue(op)
+    assert len(steps) >= 20
+    assert 1 <= len(extended) <= 4
+
+
+@pytest.mark.parametrize("n", [8, 200, 2000])
+def test_sign_certificate_slopes_are_the_derivative_field_end_values(n):
+    from beamsign.fields import diff
+
+    rng = np.random.default_rng(n)
+    for interval in (UNIT, Interval(-1.35043, 1.35043), Interval(0.5, 2.0)):
+        grid = Grid(interval, n)
+        for _ in range(20):
+            fld = ScalarField(grid, rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-8.0, 8.0))
+            cert = sign_certificate(fld)
+            du = diff(fld, 1).values
+            assert cert.slope_a == du[0]
+            assert cert.slope_b == du[-1]
