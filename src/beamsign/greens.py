@@ -1,15 +1,18 @@
 """Green's kernels of the hinged operator and sign scans over them.
 
 Two constructions are provided: a sine-series kernel for constant
-coefficients, where the eigenfunctions are explicit, and a discrete kernel
-for variable coefficients obtained by solving against scaled unit loads so
-that u(t_i) = sum_j w_j G[i, j] h(t_j) reproduces solutions with uniform
-nodal weights w_j equal to the grid spacing.
+coefficients, where the eigenfunctions are explicit, and the discrete kernel
+of the operator, scaled so that u(t_i) = sum_j w_j G[i, j] h(t_j)
+reproduces solutions with uniform nodal weights w_j equal to the grid
+spacing.  The discrete kernel is a sine transform in closed form when c is
+constant on the interior nodes, and otherwise comes from solves against
+scaled unit loads.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +22,14 @@ from .errors import ResonanceError
 from .fields import Grid, ScalarField, require_p
 from .solver import (
     _KERNEL_BLOCK,
+    OperatorMatrix,
     _equilibrated_split_error,
     _resolve_grid,
     _resonance_error,
     _solve_refined,
     assemble,
 )
+from .spectrum import _discrete_beta, _finite
 
 __all__ = [
     "GreensMatrix",
@@ -41,6 +46,15 @@ __all__ = [
 # c >= -97, 0.4 from -lambda_1, while c on the split operator's own first
 # eigenvalue -(mu_1^2 + p mu_1) gives 1e5 or more
 _KERNEL_RTOL = 1e-3
+# the unit roundoff and gamma_k = k u / (1 - k u) (Higham 2002, Lemma 3.1)
+_U = 2.0**-53
+_GAMMA3 = 3 * _U / (1.0 - 3 * _U)
+_GAMMA4 = 4 * _U / (1.0 - 4 * _U)
+_GAMMA36 = 36 * _U / (1.0 - 36 * _U)
+# the smallest subnormal, a bound on the absolute error of a rounding that underflows
+_TINY = 2.0**-1074
+# mu_1 at least this keeps every mu_k^2 and beta_k normal, as the closed-form bound assumes
+_MU_MIN = 2.0**-511
 
 
 @dataclass(eq=False)
@@ -52,10 +66,13 @@ class GreensMatrix:
     remainder at the returned entries; for the discrete one
     ``forward_error_bound`` bounds max|G - G_exact| / max|G| against the
     exact kernel of the discrete operator (see :func:`greens_discrete`).
-    That bound can differ in its last digit between calls on identical
-    factors, because LAPACK ``gbcon`` is not bit-reproducible (at n = 200,
-    p = 5, c = 0 it returned rcond 4.999812507030961e-05 on some calls and
-    4.9998125070309596e-05 on others).
+    For c constant on the interior nodes that bound is an a-priori rounding
+    bound of the closed form, the same on every call.  For variable c it
+    comes from LAPACK's condition estimate ``gbcon`` and can differ in its
+    last digit between calls on identical factors, because ``gbcon`` is not
+    bit-reproducible (at n = 200, p = 5, c = 0 it returned rcond
+    4.999812507030961e-05 on some calls and 4.9998125070309596e-05 on
+    others).
     """
 
     grid: Grid
@@ -96,6 +113,27 @@ def char_roots(p: float, m: float) -> tuple[complex, complex, complex, complex]:
     return tuple(roots)
 
 
+def _cosine_kernel(folded: np.ndarray, L: float) -> np.ndarray:
+    """The (n + 1) x (n + 1) matrix (S[|i - j|] - S[i + j]) / L, S = Re rfft(``folded``).
+
+    ``folded`` holds 2n weights w_k, so S[d] = sum_k w_k cos(k d pi / n).
+    With sin(k i pi / n) sin(k j pi / n) half of cos(k (i - j) pi / n) -
+    cos(k (i + j) pi / n), this is the sine series (2 / L) sum_k w_k
+    sin(k i pi / n) sin(k j pi / n) at the grid nodes, in one FFT.
+    S[2n - d] = S[d] holds exactly, so the result is exactly symmetric and
+    its rows and columns 0 and n are exactly 0.
+    """
+    n = len(folded) // 2
+    S = np.fft.rfft(folded).real  # d = 0 .. n
+    # S[|i - j|] and S[i + j] as strided views: windows of S[n], .., S[1], S[0], .., S[n]
+    # read bottom-up, and windows of S[0], .., S[n], .., S[0]
+    toeplitz = sliding_window_view(np.concatenate((S[:0:-1], S)), n + 1)[::-1]
+    hankel = sliding_window_view(np.concatenate((S, S[-2::-1])), n + 1)
+    vals = toeplitz - hankel
+    vals /= L
+    return vals
+
+
 def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> GreensMatrix:
     """Series kernel (2/L) sum_k sin(k pi x/L) sin(k pi y/L) / (lambda_k + m).
 
@@ -122,20 +160,10 @@ def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> Greens
         raise ValueError(
             f"terms = {terms} truncates before the modal denominators turn positive; increase it"
         )
-    # On the grid, x_i = i pi / n and sin(k x_i) sin(k x_j) is half of
-    # cos(k (i - j) pi / n) - cos(k (i + j) pi / n), so G[i, j] =
-    # (S[|i - j|] - S[i + j]) / L with S[d] = sum_k cos(k d pi / n) / denom_k.
-    # cos(k d pi / n) has period 2n in k: fold the weights mod 2n, one FFT.
-    # S[2n - d] = S[d] holds exactly, so rows and columns 0 and n are exactly 0.
+    # cos(k d pi / n) has period 2n in k: fold the weights mod 2n
     n = grid.n
     folded = np.bincount(np.arange(1, terms + 1) % (2 * n), weights=1.0 / denom, minlength=2 * n)
-    S = np.fft.rfft(folded).real  # d = 0 .. n
-    # S[|i - j|] and S[i + j] as strided views: windows of S[n], .., S[1], S[0], .., S[n]
-    # read bottom-up, and windows of S[0], .., S[n], .., S[0]
-    toeplitz = sliding_window_view(np.concatenate((S[:0:-1], S)), n + 1)[::-1]
-    hankel = sliding_window_view(np.concatenate((S, S[-2::-1])), n + 1)
-    vals = toeplitz - hankel
-    vals /= L
+    vals = _cosine_kernel(folded, L)
     # tail: remaining modes are summed crudely and then bounded by the integral test
     k_ext = np.arange(terms + 1, terms + 2001, dtype=np.float64)
     w_ext = k_ext * np.pi / L
@@ -145,11 +173,113 @@ def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> Greens
 
 
 def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> GreensMatrix:
-    """Discrete kernel from unit loads: column j solves T g = e_j / spacing.
+    """The kernel of the discrete operator A = L**2 + p L + C, scaled by 1/spacing.
 
-    The 1/spacing scaling makes sum_j spacing * G[i, j] h(t_j) the discrete
-    superposition identity, and keeps the matrix symmetric because the
-    interior block of the operator is.
+    L is the Dirichlet second-difference matrix and C = diag(c) on the
+    interior nodes, so column j of G solves A g = e_j / spacing.  The
+    1/spacing scaling makes sum_j spacing * G[i, j] h(t_j) the discrete
+    superposition identity, and G is symmetric because A is.  Rows and
+    columns 0 and n are exactly zero, and G equals G.T exactly.
+
+    When c is constant on the interior nodes (its end values never enter
+    A), the DST-I diagonalises A and G is its sine transform in closed form
+    (:func:`_closed_form_kernel`): one FFT, no factorization.  Otherwise
+    the columns are solved on the split system (:func:`_split_kernel`).
+    The closed form is skipped also on intervals so long that mu_1 falls
+    below 2**-511 (lengths above about 2.5e77), where its rounding bound
+    would meet underflow.
+
+    The returned ``forward_error_bound`` bounds max|G - G_exact| / max|G|
+    against the exact kernel of A with h = ``grid.spacing``.  When it
+    exceeds ``_KERNEL_RTOL`` = 1e-3 the kernel raises
+    :class:`~beamsign.errors.ResonanceError`, with the bound in its message.
+    A ValueError reports an interval so short that A leaves float64.
+    """
+    grid = _resolve_grid(c.grid, grid)
+    require_p(p)
+    inner = np.asarray(c.values, dtype=np.float64)[1:-1]
+    if np.all(inner == inner[0]):
+        mu, beta = _discrete_beta(p, grid)
+        if mu[0] >= _MU_MIN:
+            return _closed_form_kernel(p, c, grid, beta)
+    return _split_kernel(assemble(p, c, grid))
+
+
+def _closed_form_kernel(p: float, c: ScalarField, grid: Grid, beta: np.ndarray) -> GreensMatrix:
+    """G[i, j] = (S[|i - j|] - S[i + j]) / L with S[d] = sum_k cos(k d pi / n) / (beta_k + c).
+
+    Here L is the interval length.  A = Q diag(beta_k + c) Q with Q[i, k] =
+    sqrt(2 / n) sin(i k pi / n), so G = A^-1 / h is the sine series
+    (2 / L) sum_k sin(k i pi / n) sin(k j pi / n) / (beta_k + c) that
+    :func:`_cosine_kernel` sums, with ``beta`` from
+    :func:`~beamsign.spectrum._discrete_beta` and c the interior value.
+
+    The forward-error bound is a-priori, in three parts (u = 2**-53,
+    gamma_k = k u / (1 - k u), no step underflowing but those counted in
+    the absolute terms below):
+
+    - the modal denominators: mu_k is within gamma_15 of its exact value
+      (see ``_discrete_beta``), beta_k = mu_k (mu_k + p) within gamma_32, as
+      p >= 0, and d_k = beta_k + c within gamma_33 (beta_k + |c|); the
+      slack e_k = gamma_36 (beta_k + |c|), computed, covers that with room
+      for the rounding of e_k itself.  So |d_k - d_k exact| <= e_k, and the
+      bound is inf when e_k >= |d_k| for some k: the rounding may reach the
+      denominator itself.  Otherwise each weight w_k = fl(1 / d_k) is
+      within rho_k = (e_k / (|d_k| - e_k) + u) / (1 - u) of 1 / d_k exact,
+      relative to |w_k|, which moves every S[d] by at most sum_k rho_k |w_k|,
+      plus n 2**-1074 for weights that underflow;
+    - the FFT of length N = 2n: ||y_computed - y||_2 <= t eta / (1 - t eta)
+      sqrt(N) ||w||_2, with t = ceil(log2 N) stages and eta = mu + gamma_4
+      (sqrt(2) + mu) for twiddle factors within mu = 2u (Higham 2002,
+      Theorem 24.2, stated for radix 2; numpy's pocketfft mixes radices),
+      plus 2 N t 2**-1074 for roundings that underflow; that 2-norm bounds
+      every entry of S;
+    - the difference, the division by L and the identity L = n h (1 + delta),
+      |delta| <= u, for h = fl(L / n): three relative roundings, so G
+      computed is within gamma_3 / (1 - gamma_3) max|G| plus 2 sigma / (L (1 - u))
+      of G exact, sigma the sum of the first two parts.
+
+    The bound itself is evaluated in float64, which moves it only in its
+    last digits.
+    """
+    n = grid.n
+    L = grid.interval.length
+    cv = float(np.asarray(c.values, dtype=np.float64)[1])
+    # beta_k + |c|, and with it beta_k + c, stays finite
+    _finite("the discrete kernel", p, grid.interval, lambda: float(beta[-1]) + abs(cv))
+    denom = beta + cv
+    slack = _GAMMA36 * (beta + abs(cv))
+    margin = np.abs(denom) - slack
+    if np.all(margin > 0.0):
+        # every weight, and so every sum of them, stays finite
+        _finite("the discrete kernel", p, grid.interval, lambda: 4.0 * n / float(np.min(np.abs(denom))))
+        folded = np.zeros(2 * n)
+        w = folded[1:n]
+        np.divide(1.0, denom, out=w)
+        vals = _cosine_kernel(folded, L)
+        stages = (2 * n - 1).bit_length()  # ceil(log2 N)
+        eta = 2 * _U + _GAMMA4 * (math.sqrt(2.0) + 2 * _U)
+        fft = stages * eta / (1.0 - stages * eta) * math.sqrt(2 * n) * float(np.linalg.norm(w))
+        fft += 4 * n * stages * _TINY
+        rho = (slack / margin + _U) / (1.0 - _U)
+        sigma = float(rho @ np.abs(w)) + n * _TINY + fft
+        top = _max_abs(vals)
+        error = 2.0 * sigma / (L * (1.0 - _U)) + _TINY
+        bound = _GAMMA3 / (1.0 - _GAMMA3) + error / top if top > 0.0 else np.inf
+    else:
+        bound = np.inf
+    if not bound <= _KERNEL_RTOL:
+        k = int(np.argmin(np.abs(denom) / slack))  # the mode nearest its own rounding
+        raise _resonance_error(
+            assemble(p, c, grid),
+            f"the kernel's forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g} "
+            f"(discrete mode k = {k + 1}: beta_k + c = {denom[k]:.3e}); ",
+        )
+    return GreensMatrix(grid, vals, forward_error_bound=bound)
+
+
+def _split_kernel(op: OperatorMatrix) -> GreensMatrix:
+    """The kernel of ``op`` from unit loads: column j solves A g = e_j / spacing.
 
     The columns are solved in float64 with the split matrix M of
     L u - v = 0, L v + p v + c u = f (see :mod:`beamsign.solver`): its
@@ -158,8 +288,9 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     the lower triangle is solved, in blocks of ``_KERNEL_BLOCK`` columns:
     the block from column j0 on takes one transposed solve on the trailing
     factors of M from row 2 j0 - 2, whose rows from 2 j0 on equal those of a
-    full solve bit for bit.  The kernel is that triangle plus its transpose,
-    with the diagonal halved, so G equals G.T exactly.
+    full solve bit for bit.  Each block goes straight into the kernel, with
+    its transpose in the rows above it and its diagonal block mirrored, so
+    G equals G.T exactly.
 
     The returned ``forward_error_bound`` bounds max|G - G_exact| / max|G|; it
     is read from the LU factors and a condition estimate, and no residual of
@@ -174,12 +305,13 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     :class:`~beamsign.errors.ResonanceError`, with the bound in its message,
     when both exceed 1e-3.
     """
-    grid = _resolve_grid(c.grid, grid)
-    op = assemble(p, c, grid)
+    grid = op.grid
     m = grid.n - 1
-    lower = np.zeros((m, m))  # G[i, j] for i >= j, interior nodes numbered from 0
+    vals = np.zeros((m + 2, m + 2))  # rows and columns 0 and n stay zero
+    inner = vals[1:-1, 1:-1]  # interior nodes numbered from 0
     top = 0.0  # max|y| over every row the solves return
-    keep = np.tri(_KERNEL_BLOCK)  # ones on and below the diagonal
+    scale = 0.0  # max|G| over the solved lower triangle
+    keep = np.tri(_KERNEL_BLOCK, dtype=bool)  # on and below the diagonal
     for j0 in range(0, m, _KERNEL_BLOCK):
         j1 = min(j0 + _KERNEL_BLOCK, m)
         width = j1 - j0
@@ -189,14 +321,13 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
         loads[2 * j0 - start + 2 * np.arange(width), np.arange(width)] = 1.0 / grid.spacing
         y, error = op._solve_split_transposed(loads, start)
         top = max(top, _max_abs(y))
-        kernel = y[2 * j0 - start + 1 :: 2]  # the v-rows hold A^-1 e_j / spacing
-        # the upper triangle comes from the mirror
-        np.multiply(kernel[:width], keep[:width, :width], out=lower[j0:j1, j0:j1])
-        lower[j1:, j0:j1] = kernel[width:]
-    scale = _max_abs(lower)
-    lower.flat[:: m + 1] *= 0.5
-    vals = np.zeros((m + 2, m + 2))  # rows and columns 0 and n stay zero
-    np.add(lower, lower.T, out=vals[1:-1, 1:-1])
+        kernel = y[2 * j0 - start + 1 :: 2]  # the v-rows hold A^-1 e_j / spacing, rows j0 on
+        block = kernel[:width]
+        # the diagonal block keeps its lower triangle, mirrored above the diagonal
+        inner[j0:j1, j0:j1] = np.where(keep[:width, :width], block, block.T)
+        inner[j1:, j0:j1] = kernel[width:]
+        inner[j0:j1, j1:] = kernel[width:].T
+        scale = max(scale, _max_abs(inner[j0:, j0:j1]))
     # the bound per max|y| becomes one per max|G|; the u-rows hold (L + p) G
     bound = error * top / scale if np.isfinite(error) else np.inf
     if np.isfinite(error) and not bound <= _KERNEL_RTOL:

@@ -28,13 +28,14 @@ decided strictly, with no tolerance band.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import Interval, ProblemSpec, ScalarField, extrema, integrate, split_signs
-from .spectrum import SpectralData, delta2, nearest_mode
+from .spectrum import SpectralData, _finite, delta2, nearest_mode
 
 __all__ = [
     "InequalityRecord",
@@ -122,7 +123,12 @@ def _eval_thm_positive(c: ScalarField, sd: SpectralData):
     r = None
     if unique_ok:
         min_plus = extrema(c_plus)[0]
-        denom = (sd.delta1 - int_minus) * np.sqrt(sd.lambda1 + min_plus) / np.sqrt(sd.delta1)
+        # on very short intervals the denominator leaves float64, and r would read 0
+        denom = _finite(
+            "the Thm5_1 solution bound", sd.p, sd.interval,
+            lambda: float(sd.delta1 - int_minus) * math.sqrt(sd.lambda1 + min_plus)
+            / math.sqrt(sd.delta1),
+        )
         r = float(np.sqrt(sd.interval.length) / denom)
     pos_ok = unique_ok and recs[1].satisfied
     return unique_ok, pos_ok, r, recs
@@ -177,9 +183,11 @@ def _eval_amp_positive(c: ScalarField, h: ScalarField, sd: SpectralData):
     int_minus = integrate(c_minus)
     recs.append(_rec("Thm6_1_pos_h", "int c_minus < delta1", int_minus, "<", sd.delta1))
     min_term = min(extrema(c_plus)[0], -sd.lambda2)
-    thr2 = -sd.lambda2 + ratio * (sd.delta1 - int_minus) * np.sqrt(
-        max(sd.lambda1 + min_term, 0.0)
-    ) / np.sqrt(sd.delta1)
+    thr2 = _finite(
+        "the Thm6_1_pos_h threshold", sd.p, sd.interval,
+        lambda: -sd.lambda2 + ratio * float(sd.delta1 - int_minus)
+        * math.sqrt(max(sd.lambda1 + min_term, 0.0)) / math.sqrt(sd.delta1),
+    )
     recs.append(
         _rec(
             "Thm6_1_pos_h",
@@ -219,9 +227,11 @@ def _eval_amp_negative(c: ScalarField, h: ScalarField, p: float, interval: Inter
     )
     if not recs[-1].satisfied:
         return False, recs, notes
-    lower = -sd.lambda3 - ratio * (sd.delta1 * d2v - dev) * np.sqrt(
-        sd.lambda1 / interval.length
-    ) / np.sqrt(sd.delta1)
+    lower = _finite(
+        "the Thm6_2_neg_h threshold", p, interval,
+        lambda: -sd.lambda3 - ratio * float(sd.delta1 * d2v - dev)
+        * math.sqrt(sd.lambda1 / interval.length) / math.sqrt(sd.delta1),
+    )
     recs.append(
         _rec(
             "Thm6_2_neg_h",

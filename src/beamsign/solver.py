@@ -28,8 +28,9 @@ last few steps.
 The discrete kernel (``greens.greens_discrete``) is not solved on that band.
 Its entries 6/spacing**4 + 2 p/spacing**2 + c round c away at large n, so a
 kernel refined against them converges to the rounded band, not to the
-operator A = L**2 + p L + C (L the Dirichlet second-difference matrix).  The
-kernel comes from the split system M instead: with v = L u, each interior
+operator A = L**2 + p L + C (L the Dirichlet second-difference matrix).  For
+constant c the kernel is a sine transform in closed form; for variable c it
+comes from the split system M instead: with v = L u, each interior
 equation is L u - v = 0 and L v + p v + c u = f, the unknowns are interleaved
 as (u_1, v_1, u_2, v_2, ...), and M is again a (2, 2) band, on 2 (n - 1)
 rows, in which c never meets a spacing**-4 term.  Its LU factors come with a
@@ -67,7 +68,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ResonanceError
 from .fields import Grid, ProblemSpec, ScalarField, extrema, integrate, require_p, sup_norm
-from .spectrum import SpectralData, delta1, lambda_k, nearest_mode
+from .spectrum import SpectralData, _discrete_top, delta1, lambda_k, nearest_mode
 
 __all__ = [
     "OperatorMatrix",
@@ -247,9 +248,13 @@ class OperatorMatrix:
 
 
 def assemble(p: float, c: ScalarField, grid: Grid | None = None) -> OperatorMatrix:
-    """Banded matrix of u'''' - p u'' + c(t) u with the hinged end rows."""
+    """Banded matrix of u'''' - p u'' + c(t) u with the hinged end rows.
+
+    Raises ValueError when the interval is so short that the operator leaves float64.
+    """
     grid = _resolve_grid(c.grid, grid)
     require_p(p)
+    _discrete_top(p, grid)
     n = grid.n
     dx = grid.spacing
     inv4 = dx**-4
@@ -343,9 +348,11 @@ def _split_error(
 def _equilibrated_split_error(op: OperatorMatrix) -> float:
     """:func:`_split_error` of ``op``'s split factors after column equilibration of M.
 
-    As rigorous as the plain bound, and often far below it when the entries
-    of M differ in size by many orders, as with c = 1e8; it costs one more
-    ``gbcon`` call, so callers take it only when the plain bound misses.
+    An estimated bound like the plain one, since ``gbcon`` estimates
+    ||M^-1||_1 and can fall short of it, and often far below it when the
+    entries of M differ in size by many orders, as with c = 1e8; it costs
+    one more ``gbcon`` call, so callers take it only when the plain bound
+    misses.
     ``op``'s split system must be factored.
     """
     lu, piv, _ = op._split

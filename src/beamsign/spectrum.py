@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RootSearchError
-from .fields import Interval, ScalarField, extrema, require_p
+from .fields import Grid, Interval, ScalarField, extrema, require_p
 
 __all__ = [
     "SpectralData",
@@ -69,6 +69,38 @@ def _finite(what: str, p: float, interval: Interval, compute) -> float:
     if not math.isfinite(value):
         raise _overflow(what, p, interval)
     return value
+
+
+def _discrete_top(p: float, grid: Grid) -> float:
+    """(4/h^2) (4/h^2 + p), h = ``grid.spacing``, above every eigenvalue of L^2 + p L.
+
+    L is the Dirichlet second-difference matrix on the grid.  On very short
+    intervals this leaves float64 before the continuous thresholds do, and
+    the ValueError of :func:`_overflow` names the discrete operator.
+    """
+    h = grid.spacing
+    return _finite(
+        "the discrete operator", p, grid.interval, lambda: (2.0 / h) ** 2 * ((2.0 / h) ** 2 + p)
+    )
+
+
+def _discrete_beta(p: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """mu_k and beta_k = mu_k^2 + p mu_k, k = 1 .. n - 1, the eigenvalues of L and L^2 + p L.
+
+    mu_k = (2 sin(k pi / 2n) / h)^2 with h = ``grid.spacing``, and the DST-I
+    diagonalises both matrices: their k-th eigenvector is sin(i k pi / n).
+    Both sequences increase with k.  Each mu_k is within gamma_15 of its
+    exact value, relative, when no step underflows (u = 2**-53, gamma_k =
+    k u / (1 - k u)): the argument takes three roundings (pi, the division
+    and the product), which move sin by about as much relative, since
+    x cot x <= 1 on (0, pi/2); numpy's float64 sin is validated to 1 ulp of
+    the rounded result, at most 3 u relative; then 2 s / h takes one
+    rounding, and the square doubles the seven and adds one.
+    """
+    _discrete_top(p, grid)
+    n = grid.n
+    mu = (2.0 * np.sin(np.arange(1, n) * (np.pi / (2 * n))) / grid.spacing) ** 2
+    return mu, mu * (mu + p)
 
 
 def lambda_k(p: float, interval: Interval, k: int) -> float:

@@ -396,6 +396,29 @@ def test_tiny_interval_is_an_input_error(tmp_path, capsys):
         assert run(["check", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: input: ") and f"on an interval of length L = {b}\n" in err
+    # the discrete operator, (2/h)^2 ((2/h)^2 + p), leaves float64 first, and
+    # with it the denominator of the Thm5_1 bound, which would make r_bound read 0
+    path = write_problem(
+        tmp_path, BASE.format(c=0).replace("interval.b = 1", "interval.b = 1e-76") + "grid.n = 200\n"
+    )
+    assert run(["solve", str(path), "--out", str(tmp_path / "u.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: input: the discrete operator overflows float64 at p = 0.0 on an interval of length L = 1e-76\n"
+    )
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: input: the Thm5_1 solution bound overflows float64 at p = 0.0 on an interval of length L = 1e-76\n"
+    )
+    for m in ("0", "-3"):
+        assert run(["greens", "--m", m, "--b", "1e-75", "--out", str(tmp_path / "g.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: input: the discrete operator overflows float64 at p = 0.0 on an interval of length L = 1e-75\n"
+        )
+    grid = beamsign.Grid(beamsign.Interval(0.0, 1e-75), 200)
+    for cv in (np.zeros(201), np.linspace(0.0, 1.0, 201)):  # the closed form and the split path
+        with pytest.raises(ValueError, match="the discrete operator overflows float64"):
+            beamsign.greens_discrete(0.0, beamsign.ScalarField(grid, cv), grid)
+    assert not (tmp_path / "u.csv").exists() and not (tmp_path / "g.csv").exists()
     assert run(["spectrum", "--b", "1e-60"]) == 0
     assert capsys.readouterr().out == (
         "p              = 0.0\n"

@@ -5,6 +5,7 @@ from beamsign import Grid, Interval, ProblemSpec, ScalarField, direct_solve, sup
 from beamsign.errors import ResonanceError
 from beamsign.greens import (
     GreensMatrix,
+    _split_kernel,
     char_roots,
     greens_constant,
     greens_discrete,
@@ -12,9 +13,16 @@ from beamsign.greens import (
     y_boundary,
 )
 from beamsign.solver import assemble, smallest_eigenvalue
-from beamsign.spectrum import lambda_k
+from beamsign.spectrum import _discrete_beta, lambda_k
+from sine_transform import mpmath_denominators, modal_denominators, sine_transform_kernel
 
 UNIT = Interval(0.0, 1.0)
+
+
+def _split(p, c, grid):
+    # the split path on its own, whatever c is; the closed-form reference checks
+    # below run on it and on greens_discrete, which takes the closed form for constant c
+    return _split_kernel(assemble(p, c, grid))
 
 
 def test_char_roots_examples():
@@ -88,34 +96,32 @@ def test_greens_discrete_matches_oracle_and_series():
 
 def test_greens_discrete_resonance():
     # the discrete operator is singular at its own smallest eigenvalue, which
-    # sits a truncation error away from pi^4
+    # sits a truncation error away from pi^4; the split path cannot tell the
+    # 3e-8 left between this c and the exact operator's from singularity
     grid = Grid(UNIT, 100)
     zero = ScalarField.constant(grid, 0.0)
     lam1 = smallest_eigenvalue(assemble(0.0, zero, grid))
     with pytest.raises(ResonanceError) as info:
-        greens_discrete(0.0, ScalarField.constant(grid, -lam1), grid)
+        _split(0.0, ScalarField.constant(grid, -lam1), grid)
     assert info.value.index == 1
 
 
-def _sine_transform_kernel(p: float, c: float, n: int, cols) -> np.ndarray:
-    # columns of the exact kernel of L^2 + p L + c on [0, 1], L the Dirichlet
-    # second-difference matrix: G = S diag(1 / lambda_k) S * 2 / (n h), S[i, k] =
-    # sin(i k pi / n), lambda_k = mu_k^2 + p mu_k + c, mu_k = (4 / h^2) sin^2(k pi / 2n);
-    # the sum over k is a DST-I, taken as the FFT of the odd extension
-    h = 1.0 / n
-    k = np.arange(1, n)
-    mu = (4.0 / h**2) * np.sin(k * np.pi / (2 * n)) ** 2
-    lam = mu**2 + p * mu + c
-    w = np.sin(np.outer(k, cols) * np.pi / n) / lam[:, None]
-    ext = np.zeros((2 * n, len(cols)))
-    ext[1:n] = w
-    ext[n + 1:] = -w[::-1]
-    g = -0.5 * np.fft.fft(ext, axis=0).imag[: n + 1]
-    g[[0, n]] = 0.0
-    return g * (2.0 / (n * h))
+def test_the_closed_form_resolves_the_kernel_the_split_path_rejects():
+    # the same c as above: the closed form knows beta_1 + c to about 1e-12 and
+    # returns the kernel, with a bound near 3e-5, against a reference whose
+    # denominators come from mpmath (in float64, beta_1 + c would lose every digit)
+    pytest.importorskip("mpmath")
+    n = 100
+    grid = Grid(UNIT, n)
+    lam1 = smallest_eigenvalue(assemble(0.0, ScalarField.constant(grid, 0.0), grid))
+    G = greens_discrete(0.0, ScalarField.constant(grid, -lam1), grid)
+    cols = np.arange(1, n)
+    ref = sine_transform_kernel(0.0, -lam1, n, cols, mpmath_denominators(0.0, -lam1, n, grid.spacing))
+    err = np.max(np.abs(G.values[:, cols] - ref)) / np.max(np.abs(ref))
+    assert err <= G.forward_error_bound <= 1e-4
 
 
-def test_greens_discrete_matches_the_sine_transform_kernel():
+def _check_sine_transform_kernel(build):
     # the kernel solves the operator itself: a kernel of its rounded band
     # (6/h^4 + 2p/h^2 + c stored in float64) misses these references by up to 1e-5 of max|G|
     for n in (200, 400, 1000, 2000):
@@ -123,39 +129,63 @@ def test_greens_discrete_matches_the_sine_transform_kernel():
         cols = np.arange(1, n) if n <= 1000 else np.array([1, 300, 1000, 1001, 1999])
         for p in (0.0, 5.0, 50.0):
             for cv in (0.0, -80.0, 3000.0):
-                G = greens_discrete(p, ScalarField.constant(grid, cv), grid)
+                G = build(p, ScalarField.constant(grid, cv), grid)
                 assert G.values.dtype == np.float64
-                ref = _sine_transform_kernel(p, cv, n, cols)
+                ref = sine_transform_kernel(p, cv, n, cols)
                 err = np.max(np.abs(G.values[:, cols] - ref))
                 assert err <= 1e-10 * np.max(np.abs(ref))
                 assert 0.0 < G.forward_error_bound <= 1e-3
 
 
-def test_greens_discrete_is_within_its_own_bound_near_resonance():
+def test_greens_discrete_matches_the_sine_transform_kernel():
+    _check_sine_transform_kernel(greens_discrete)
+
+
+def test_the_split_kernel_matches_the_sine_transform_kernel():
+    _check_sine_transform_kernel(_split)
+
+
+def _check_bound_near_resonance(build):
     # c = -97 sits 0.4 from -lambda_1: there the error is largest and the bound
-    # still holds (2.0e-11 against 6.1e-6 at n = 400)
+    # still holds (2.0e-11 against 6.1e-6 at n = 400 on the split path)
     for n in (400, 1000):
         grid = Grid(UNIT, n)
-        G = greens_discrete(0.0, ScalarField.constant(grid, -97.0), grid)
+        G = build(0.0, ScalarField.constant(grid, -97.0), grid)
         cols = np.arange(1, n)
-        ref = _sine_transform_kernel(0.0, -97.0, n, cols)
+        ref = sine_transform_kernel(0.0, -97.0, n, cols)
         err = np.max(np.abs(G.values[:, cols] - ref)) / np.max(np.abs(ref))
         assert err <= G.forward_error_bound <= 1e-3
 
 
-def test_greens_discrete_accepts_a_large_coefficient():
-    # far from every -lambda_k the normwise bound missed 1e-3 here (1.8e-3 at
-    # n = 200 and c = 1e8), while the kernel matches the closed form to
-    # 3.6e-15; the column-equilibrated bound is below 1e-4 and still holds
+def test_greens_discrete_is_within_its_own_bound_near_resonance():
+    _check_bound_near_resonance(greens_discrete)
+
+
+def test_the_split_kernel_is_within_its_own_bound_near_resonance():
+    _check_bound_near_resonance(_split)
+
+
+def _check_large_coefficient(build):
+    # far from every -lambda_k the split path's normwise bound missed 1e-3 here
+    # (1.8e-3 at n = 200 and c = 1e8), while the kernel matches the closed form
+    # to 3.6e-15; the column-equilibrated bound is below 1e-4 and still holds
     for n in (100, 200, 400):
         grid = Grid(UNIT, n)
         cols = np.arange(1, n)
         for cv in (1e8, 1e9):
-            G = greens_discrete(0.0, ScalarField.constant(grid, cv), grid)
-            ref = _sine_transform_kernel(0.0, cv, n, cols)
+            G = build(0.0, ScalarField.constant(grid, cv), grid)
+            ref = sine_transform_kernel(0.0, cv, n, cols)
             err = np.max(np.abs(G.values[:, cols] - ref)) / np.max(np.abs(ref))
             assert err <= 1e-10
             assert err <= G.forward_error_bound <= 1e-4
+
+
+def test_greens_discrete_accepts_a_large_coefficient():
+    _check_large_coefficient(greens_discrete)
+
+
+def test_the_split_kernel_accepts_a_large_coefficient():
+    _check_large_coefficient(_split)
 
 
 def test_the_equilibrated_bound_is_taken_only_when_the_plain_bound_misses(monkeypatch):
@@ -175,31 +205,15 @@ def test_the_equilibrated_bound_is_taken_only_when_the_plain_bound_misses(monkey
     grid = Grid(UNIT, 200)
     for cv, expected in ((0.0, 1), (-97.0, 1), (3000.0, 1), (1e8, 2)):
         calls.clear()
-        greens_discrete(5.0, ScalarField.constant(grid, cv), grid)
+        _split(5.0, ScalarField.constant(grid, cv), grid)
         assert len(calls) == expected
 
 
-def _record_operators(monkeypatch) -> list:
-    # the operators greens_discrete assembles, with the factors it cached
-    from beamsign import greens
-
-    ops = []
-    build = greens.assemble
-
-    def recording(*args):
-        ops.append(build(*args))
-        return ops[-1]
-
-    monkeypatch.setattr(greens, "assemble", recording)
-    return ops
-
-
 @pytest.mark.parametrize("n", [8, 10, 96, 98, 100, 200, 1000])
-def test_greens_discrete_mirrors_the_lower_triangle_of_one_full_solve(monkeypatch, n):
+def test_greens_discrete_mirrors_the_lower_triangle_of_one_full_solve(n):
     # every column block is solved on the trailing split factors only; the
     # rows it keeps must be those of one full transposed solve on the same
     # factors bit for bit, and the upper triangle their exact mirror
-    ops = _record_operators(monkeypatch)
     grid = Grid(UNIT, n)
     t = grid.nodes
     m = n - 1
@@ -211,8 +225,8 @@ def test_greens_discrete_mirrors_the_lower_triangle_of_one_full_solve(monkeypatc
     ]
     pivoted = False
     for p, cv in cases:
-        G = greens_discrete(p, ScalarField(grid, cv), grid)
-        op = ops[-1]
+        op = assemble(p, ScalarField(grid, cv), grid)
+        G = _split_kernel(op)
         loads = np.zeros((2 * m, m), order="F")
         loads[np.arange(0, 2 * m, 2), np.arange(m)] = 1.0 / grid.spacing
         y, error = op._solve_split_transposed(loads)
@@ -227,7 +241,7 @@ def test_greens_discrete_mirrors_the_lower_triangle_of_one_full_solve(monkeypatc
     assert pivoted
 
 
-def test_greens_discrete_resonance_of_the_split_operator():
+def _check_split_operator_resonance(build):
     # c on the split operator's own first eigenvalue -(mu_1^2 + p mu_1)
     for n in (100, 400, 2000):
         grid = Grid(UNIT, n)
@@ -236,10 +250,108 @@ def test_greens_discrete_resonance_of_the_split_operator():
         for p in (0.0, 5.0):
             c = ScalarField.constant(grid, -(mu1**2 + p * mu1))
             with pytest.raises(ResonanceError, match="forward-error bound") as info:
-                greens_discrete(p, c, grid)
+                build(p, c, grid)
             assert info.value.index == 1
             bound = float(info.value.args[0].split("forward-error bound ")[1].split()[0])
             assert bound > 1e-3
+
+
+def test_greens_discrete_resonance_of_the_split_operator():
+    _check_split_operator_resonance(greens_discrete)
+
+
+def test_the_split_kernel_resonance_of_the_split_operator():
+    _check_split_operator_resonance(_split)
+
+
+def test_the_closed_form_is_exactly_symmetric_and_within_its_bound():
+    for n in (200, 400, 1000, 2000):
+        grid = Grid(UNIT, n)
+        cols = np.arange(1, n) if n <= 1000 else np.array([1, 300, 1000, 1001, 1999])
+        for p in (0.0, 5.0, 50.0):
+            for cv in (0.0, -80.0, -97.0, 3000.0, 1e8):
+                G = greens_discrete(p, ScalarField.constant(grid, cv), grid)
+                assert np.array_equal(G.values, G.values.T)
+                assert not np.any(G.values[[0, -1], :])
+                ref = sine_transform_kernel(p, cv, n, cols)
+                err = np.max(np.abs(G.values[:, cols] - ref)) / np.max(np.abs(ref))
+                assert err <= G.forward_error_bound <= 1e-3
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_the_closed_form_matches_an_mpmath_inverse_next_to_resonance(n):
+    # c within 1e-6 of -beta_1, on either side: the kernel is then within its
+    # bound of A^-1 / h, with A = L^2 + p L + c I inverted at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    grid = Grid(UNIT, n)
+    h = grid.spacing
+    for p in (0.0, 5.0):
+        beta1 = modal_denominators(p, 0.0, n, h)[0]
+        for cv in (-beta1 * (1.0 - 1e-6), -beta1 * (1.0 + 1e-6)):
+            G = greens_discrete(p, ScalarField.constant(grid, cv), grid)
+            with mpmath.workdps(50):
+                T = mpmath.matrix(n - 1)
+                for i in range(n - 1):
+                    T[i, i] = 2 / mpmath.mpf(h) ** 2
+                    if i:
+                        T[i, i - 1] = T[i - 1, i] = -1 / mpmath.mpf(h) ** 2
+                A = T * T + p * T + mpmath.mpf(cv) * mpmath.eye(n - 1)
+                inverse = A**-1 / mpmath.mpf(h)
+                ref = np.array([[float(inverse[i, j]) for j in range(n - 1)] for i in range(n - 1)])
+            err = np.max(np.abs(G.values[1:-1, 1:-1] - ref)) / np.max(np.abs(ref))
+            assert err <= G.forward_error_bound <= 1e-3
+
+
+def test_interior_constant_c_takes_the_closed_form(monkeypatch):
+    # the end values of c never enter the interior block; one interior node
+    # off by one ulp is variable c and takes the split path
+    from beamsign import greens
+
+    taken = []
+    for name in ("_closed_form_kernel", "_split_kernel"):
+        def recording(*args, _name=name, _build=getattr(greens, name)):
+            taken.append(_name)
+            return _build(*args)
+
+        monkeypatch.setattr(greens, name, recording)
+    n = 200
+    grid = Grid(UNIT, n)
+    cols = np.arange(1, n)
+    ref = sine_transform_kernel(5.0, -80.0, n, cols)
+    cv = np.full(n + 1, -80.0)
+    cv[[0, -1]] = (7.0, -300.0)
+    perturbed = cv.copy()
+    perturbed[57] = np.nextafter(-80.0, 0.0)
+    for values, path in ((cv, "_closed_form_kernel"), (perturbed, "_split_kernel")):
+        G = greens_discrete(5.0, ScalarField(grid, values), grid)
+        assert taken[-1] == path
+        err = np.max(np.abs(G.values[:, cols] - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-10
+        assert err <= G.forward_error_bound <= 1e-3
+
+
+def test_the_closed_form_resonance_names_the_discrete_mode():
+    # on beta_k itself the denominator is exactly zero, which must raise before
+    # any division; just off beta_1 the bound is finite and still too large
+    grid = Grid(UNIT, 200)
+    for p in (0.0, 5.0):
+        _, beta = _discrete_beta(p, grid)
+        for k in (1, 3):
+            with pytest.raises(ResonanceError) as info:
+                greens_discrete(p, ScalarField.constant(grid, -beta[k - 1]), grid)
+            assert (
+                "the kernel's forward-error bound inf exceeds 0.001 "
+                f"(discrete mode k = {k}: beta_k + c = 0.000e+00); "
+            ) in info.value.args[0]
+            assert info.value.index == k
+            assert info.value.nearest_eigenvalue == -lambda_k(p, UNIT, k)
+        cv = -beta[0] * (1.0 - 3e-12)
+        with pytest.raises(ResonanceError) as info:
+            greens_discrete(p, ScalarField.constant(grid, cv), grid)
+        message = info.value.args[0]
+        bound = float(message.split("forward-error bound ")[1].split()[0])
+        assert 1e-3 < bound < np.inf
+        assert f"(discrete mode k = 1: beta_k + c = {beta[0] + cv:.3e}); " in message
 
 
 def test_greens_discrete_reproduces_direct_solutions():

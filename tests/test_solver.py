@@ -342,9 +342,9 @@ def test_each_operator_is_factored_once(monkeypatch):
     calls.clear()
     direct_solve(unit_problem(200, 0.0))
     assert len(calls) == 1
-    # greens_discrete: one factorization, of the split system, and nothing in
+    # the split kernel: one factorization, of the split system, and nothing in
     # extended precision, at n = 200 and at n = 400 alike
-    from beamsign import solver
+    from beamsign import greens, solver
 
     def no_extended(self):
         raise AssertionError("extended-precision work in the kernel")
@@ -354,9 +354,13 @@ def test_each_operator_is_factored_once(monkeypatch):
         grid = Grid(UNIT, n)
         with monkeypatch.context() as patch:
             patch.setattr(solver.OperatorMatrix, "band_extended", no_extended)
-            G = greens_discrete(0.0, ScalarField.constant(grid, 0.0), grid)
+            G = greens._split_kernel(assemble(0.0, ScalarField.constant(grid, 0.0), grid))
         assert calls == [2 * (n - 1)]
         assert G.values.dtype == np.float64
+        # greens_discrete takes the closed form for constant c: no factorization at all
+        calls.clear()
+        greens_discrete(0.0, ScalarField.constant(grid, 0.0), grid)
+        assert calls == []
 
 
 def test_lu_column_sums_match_the_dense_factors():
