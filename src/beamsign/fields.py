@@ -8,6 +8,7 @@ with one-sided stencils of the same order at the endpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +173,22 @@ def sup_norm(f: ScalarField) -> float:
 def _simpson(y: np.ndarray, dx: float) -> float:
     # composite weights dx/3 [1, 4, 2, ..., 4, 1] on an even number of panels,
     # grouped as scipy.integrate.simpson groups them, so results match it bit for bit
-    return float(np.sum(y[0:-1:2] + 4.0 * y[1::2] + y[2::2]) * (dx / 3.0))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(y[0:-1:2] + 4.0 * y[1::2] + y[2::2]) * (dx / 3.0))
+    if math.isfinite(total) or not np.all(np.isfinite(y)):
+        return total
+    # finite samples whose sum overflows (|c| = 2e306 on 200 panels, whatever
+    # the interval): sum them scaled by an exact power of two to below 1 and
+    # scale the result back, so the only extra rounding is that of scaled
+    # samples that underflow
+    _, e = math.frexp(float(np.max(np.abs(y))))
+    z = np.ldexp(y, -e)
+    m, f = math.frexp(dx / 3.0)
+    scaled = float(np.sum(z[0:-1:2] + 4.0 * z[1::2] + z[2::2])) * m
+    try:
+        return math.ldexp(scaled, e + f)
+    except OverflowError:  # the integral itself leaves float64
+        return math.copysign(math.inf, scaled)
 
 
 def integrate(f: ScalarField) -> float:

@@ -22,14 +22,17 @@ from .errors import ResonanceError
 from .fields import Grid, ScalarField, require_p
 from .solver import (
     _KERNEL_BLOCK,
+    _KERNEL_RTOL,
     OperatorMatrix,
+    _constant_modes,
     _equilibrated_split_error,
+    _mode_error,
     _resolve_grid,
     _resonance_error,
     _solve_refined,
     assemble,
 )
-from .spectrum import _discrete_beta, _finite
+from .spectrum import _finite
 
 __all__ = [
     "GreensMatrix",
@@ -41,20 +44,12 @@ __all__ = [
     "sign_scan",
 ]
 
-# largest forward-error bound, relative to max|G|, that greens_discrete accepts:
-# on [0, 1] and p in {0, 5, 50} the bound stays below 2e-4 up to n = 2000 for
-# c >= -97, 0.4 from -lambda_1, while c on the split operator's own first
-# eigenvalue -(mu_1^2 + p mu_1) gives 1e5 or more
-_KERNEL_RTOL = 1e-3
 # the unit roundoff and gamma_k = k u / (1 - k u) (Higham 2002, Lemma 3.1)
 _U = 2.0**-53
 _GAMMA3 = 3 * _U / (1.0 - 3 * _U)
 _GAMMA4 = 4 * _U / (1.0 - 4 * _U)
-_GAMMA36 = 36 * _U / (1.0 - 36 * _U)
 # the smallest subnormal, a bound on the absolute error of a rounding that underflows
 _TINY = 2.0**-1074
-# mu_1 at least this keeps every mu_k^2 and beta_k normal, as the closed-form bound assumes
-_MU_MIN = 2.0**-511
 
 
 @dataclass(eq=False)
@@ -197,34 +192,35 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     """
     grid = _resolve_grid(c.grid, grid)
     require_p(p)
-    inner = np.asarray(c.values, dtype=np.float64)[1:-1]
-    if np.all(inner == inner[0]):
-        mu, beta = _discrete_beta(p, grid)
-        if mu[0] >= _MU_MIN:
-            return _closed_form_kernel(p, c, grid, beta)
+    modes = _constant_modes(p, c, grid)
+    if modes is not None:
+        return _closed_form_kernel(p, c, grid, *modes)
     return _split_kernel(assemble(p, c, grid))
 
 
-def _closed_form_kernel(p: float, c: ScalarField, grid: Grid, beta: np.ndarray) -> GreensMatrix:
+def _closed_form_kernel(
+    p: float, c: ScalarField, grid: Grid, denom: np.ndarray, slack: np.ndarray
+) -> GreensMatrix:
     """G[i, j] = (S[|i - j|] - S[i + j]) / L with S[d] = sum_k cos(k d pi / n) / (beta_k + c).
 
     Here L is the interval length.  A = Q diag(beta_k + c) Q with Q[i, k] =
     sqrt(2 / n) sin(i k pi / n), so G = A^-1 / h is the sine series
     (2 / L) sum_k sin(k i pi / n) sin(k j pi / n) / (beta_k + c) that
-    :func:`_cosine_kernel` sums, with ``beta`` from
-    :func:`~beamsign.spectrum._discrete_beta` and c the interior value.
+    :func:`_cosine_kernel` sums, with c the interior value and ``denom``
+    the computed d_k = beta_k + c and ``slack`` its bound e_k from
+    ``solver._constant_modes``, which has already raised where e_k >= |d_k|.
 
     The forward-error bound is a-priori, in three parts (u = 2**-53,
     gamma_k = k u / (1 - k u), no step underflowing but those counted in
     the absolute terms below):
 
     - the modal denominators: mu_k is within gamma_15 of its exact value
-      (see ``_discrete_beta``), beta_k = mu_k (mu_k + p) within gamma_32, as
+      (see ``spectrum._discrete_beta``), beta_k = mu_k (mu_k + p) within gamma_32, as
       p >= 0, and d_k = beta_k + c within gamma_33 (beta_k + |c|); the
       slack e_k = gamma_36 (beta_k + |c|), computed, covers that with room
       for the rounding of e_k itself.  So |d_k - d_k exact| <= e_k, and the
-      bound is inf when e_k >= |d_k| for some k: the rounding may reach the
-      denominator itself.  Otherwise each weight w_k = fl(1 / d_k) is
+      bound would be inf if e_k >= |d_k| for some k: the rounding may reach
+      the denominator itself.  Otherwise each weight w_k = fl(1 / d_k) is
       within rho_k = (e_k / (|d_k| - e_k) + u) / (1 - u) of 1 / d_k exact,
       relative to |w_k|, which moves every S[d] by at most sum_k rho_k |w_k|,
       plus n 2**-1074 for weights that underflow;
@@ -244,37 +240,23 @@ def _closed_form_kernel(p: float, c: ScalarField, grid: Grid, beta: np.ndarray) 
     """
     n = grid.n
     L = grid.interval.length
-    cv = float(np.asarray(c.values, dtype=np.float64)[1])
-    # beta_k + |c|, and with it beta_k + c, stays finite
-    _finite("the discrete kernel", p, grid.interval, lambda: float(beta[-1]) + abs(cv))
-    denom = beta + cv
-    slack = _GAMMA36 * (beta + abs(cv))
-    margin = np.abs(denom) - slack
-    if np.all(margin > 0.0):
-        # every weight, and so every sum of them, stays finite
-        _finite("the discrete kernel", p, grid.interval, lambda: 4.0 * n / float(np.min(np.abs(denom))))
-        folded = np.zeros(2 * n)
-        w = folded[1:n]
-        np.divide(1.0, denom, out=w)
-        vals = _cosine_kernel(folded, L)
-        stages = (2 * n - 1).bit_length()  # ceil(log2 N)
-        eta = 2 * _U + _GAMMA4 * (math.sqrt(2.0) + 2 * _U)
-        fft = stages * eta / (1.0 - stages * eta) * math.sqrt(2 * n) * float(np.linalg.norm(w))
-        fft += 4 * n * stages * _TINY
-        rho = (slack / margin + _U) / (1.0 - _U)
-        sigma = float(rho @ np.abs(w)) + n * _TINY + fft
-        top = _max_abs(vals)
-        error = 2.0 * sigma / (L * (1.0 - _U)) + _TINY
-        bound = _GAMMA3 / (1.0 - _GAMMA3) + error / top if top > 0.0 else np.inf
-    else:
-        bound = np.inf
+    # every weight, and so every sum of them, stays finite
+    _finite("the discrete kernel", p, grid.interval, lambda: 4.0 * n / float(np.min(np.abs(denom))))
+    folded = np.zeros(2 * n)
+    w = folded[1:n]
+    np.divide(1.0, denom, out=w)
+    vals = _cosine_kernel(folded, L)
+    stages = (2 * n - 1).bit_length()  # ceil(log2 N)
+    eta = 2 * _U + _GAMMA4 * (math.sqrt(2.0) + 2 * _U)
+    fft = stages * eta / (1.0 - stages * eta) * math.sqrt(2 * n) * float(np.linalg.norm(w))
+    fft += 4 * n * stages * _TINY
+    rho = (slack / (np.abs(denom) - slack) + _U) / (1.0 - _U)
+    sigma = float(rho @ np.abs(w)) + n * _TINY + fft
+    top = _max_abs(vals)
+    error = 2.0 * sigma / (L * (1.0 - _U)) + _TINY
+    bound = _GAMMA3 / (1.0 - _GAMMA3) + error / top if top > 0.0 else np.inf
     if not bound <= _KERNEL_RTOL:
-        k = int(np.argmin(np.abs(denom) / slack))  # the mode nearest its own rounding
-        raise _resonance_error(
-            assemble(p, c, grid),
-            f"the kernel's forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g} "
-            f"(discrete mode k = {k + 1}: beta_k + c = {denom[k]:.3e}); ",
-        )
+        raise _mode_error(p, c, grid, denom, slack, bound)
     return GreensMatrix(grid, vals, forward_error_bound=bound)
 
 

@@ -17,13 +17,18 @@ correction with the residual accumulated in extended precision, and by more
 (up to three in all) only while the residual still misses the caller's bound.
 That brings the residual into the 1e-10 range and keeps the strict residual
 contract checkable.  The superposition solve folds the end moments into the
-weights of the kernel columns, solves only the lower triangle of the
-symmetric kernel in float64, in blocks on the trailing factors, sums it
-block by block, refines only that sum, and checks that the sum agrees with
-the refined solution, so its extended-precision work is on one vector, never
-on the n x n kernel.  Inverse iteration likewise estimates its eigenvalue in
-float64 and takes the extended-precision Rayleigh quotient only over its
-last few steps.
+weights of the kernel columns and sums the kernel against them: for c
+constant on the interior nodes by the sine transform, two FFTs with no
+factorization (see ``_constant_modes``, which ``greens.greens_discrete``
+shares), and otherwise by solving only the lower triangle of the symmetric
+kernel in float64, in blocks on the trailing factors, block by block.  It
+then refines only that sum and checks that the sum agrees with the refined
+solution, so its extended-precision work is on one vector, never on the
+n x n kernel.  The refinement stays for constant c too: the sine transform
+solves the exact operator, while the residual contract is measured on the
+rounded band, about 1e-8 away at n = 250.  Inverse iteration likewise
+estimates its eigenvalue in float64 and takes the extended-precision
+Rayleigh quotient only over its last few steps.
 
 The discrete kernel (``greens.greens_discrete``) is not solved on that band.
 Its entries 6/spacing**4 + 2 p/spacing**2 + c round c away at large n, so a
@@ -68,7 +73,16 @@ import numpy as np
 
 from .errors import ConvergenceError, ResonanceError
 from .fields import Grid, ProblemSpec, ScalarField, extrema, integrate, require_p, sup_norm
-from .spectrum import SpectralData, _discrete_top, delta1, lambda_k, nearest_mode
+from .spectrum import (
+    SpectralData,
+    _discrete_beta,
+    _discrete_top,
+    _dst1,
+    _finite,
+    delta1,
+    lambda_k,
+    nearest_mode,
+)
 
 __all__ = [
     "OperatorMatrix",
@@ -86,13 +100,28 @@ __all__ = [
 ]
 
 _REFINE_STEPS = 3
-# gamma_13 = 13 u / (1 - 13 u) with the unit roundoff u = 2**-53 (Higham 2002, Lemma 3.1)
+# gamma_k = k u / (1 - k u) with the unit roundoff u = 2**-53 (Higham 2002, Lemma 3.1)
 _GAMMA13 = 13 * 2.0**-53 / (1.0 - 13 * 2.0**-53)
+_GAMMA36 = 36 * 2.0**-53 / (1.0 - 36 * 2.0**-53)
+# mu_1 at least this keeps every mu_k^2 and beta_k normal, as the closed-form bounds assume
+_MU_MIN = 2.0**-511
+# largest forward-error bound, relative to max|G|, that greens_discrete accepts:
+# on [0, 1] and p in {0, 5, 50} the bound stays below 2e-4 up to n = 2000 for
+# c >= -97, 0.4 from -lambda_1, while c on the split operator's own first
+# eigenvalue -(mu_1^2 + p mu_1) gives 1e5 or more
+_KERNEL_RTOL = 1e-3
 # largest gap, relative to sup|u|, allowed between the float64 kernel sum and
 # the refined solution: rounding gives up to 7e-9 at n = 250 and 2.3e-7 at
 # n = 1000, while at n = 200 a zeroed or shifted kernel column, the zeroed
-# first column (which also carries d1), or every column scaled by 1.001 moves
-# the sum by 1e-3 or more
+# first column (which also carries d1), or every column scaled by 1.001
+# moves the sum by 1e-3 or more.  The sine-transform sum of constant c solves
+# the exact operator, so its gap is also the distance to the rounded band,
+# which grows about like n**4: 1e-8 at n = 250, 2.5e-6 at n = 1000 (p = 0,
+# c = 0).  It reaches this tolerance at n = 1000 for p = 0, c = -80 (1.4e-5),
+# where the residual bound already misses 10x and raises first; on [0, 1],
+# for n from 1000 to 3000, p in {0, 5, 50} and c from -150 to 1e5, it stays
+# at 2.4e-6 or less wherever the residual bound holds (the largest at
+# n = 1200, p = 50, c = -150)
 _SUPERPOSITION_RTOL = 1e-5
 # kernel columns per trailing solve, in greens_discrete and superposition_solve:
 # 48 and 64 tie as the fastest at n = 250 and n = 1000, while 32 and 96 are up
@@ -391,6 +420,50 @@ def _resonance_error(op: OperatorMatrix, cause: str = "") -> ResonanceError:
     )
 
 
+def _constant_modes(p: float, c: ScalarField, grid: Grid) -> tuple[np.ndarray, np.ndarray] | None:
+    """The modal denominators d_k = beta_k + c and their slack, when the sine transform applies.
+
+    The DST-I diagonalises the interior block A = L**2 + p L + c I when c is
+    constant on the interior nodes (its end values never enter A), with
+    eigenvalues d_k = beta_k + c, k = 1 .. n - 1, from
+    :func:`~beamsign.spectrum._discrete_beta`.  Returns None when c varies
+    there, or when mu_1 < 2**-511 (intervals longer than about 2.5e77),
+    where the closed-form bounds would meet underflow.
+
+    Otherwise returns d_k and e_k = gamma_36 (beta_k + |c|), the slack that
+    covers the rounding of the computed d_k (derived in
+    ``greens._closed_form_kernel``).  Raises
+    :class:`~beamsign.errors.ResonanceError`, naming the discrete mode, when
+    e_k >= |d_k| for some k: the rounding may reach the denominator itself.
+    """
+    inner = np.asarray(c.values, dtype=np.float64)[1:-1]
+    if not np.all(inner == inner[0]):
+        return None
+    mu, beta = _discrete_beta(p, grid)
+    if mu[0] < _MU_MIN:
+        return None
+    cv = float(inner[0])
+    # beta_k + |c|, and with it beta_k + c, stays finite
+    _finite("the discrete kernel", p, grid.interval, lambda: float(beta[-1]) + abs(cv))
+    denom = beta + cv
+    slack = _GAMMA36 * (beta + abs(cv))
+    if not np.all(np.abs(denom) > slack):
+        raise _mode_error(p, c, grid, denom, slack, np.inf)
+    return denom, slack
+
+
+def _mode_error(
+    p: float, c: ScalarField, grid: Grid, denom: np.ndarray, slack: np.ndarray, bound: float
+) -> ResonanceError:
+    # the closed-form kernel's bound missed: name the mode nearest its own rounding
+    k = int(np.argmin(np.abs(denom) / slack))
+    return _resonance_error(
+        assemble(p, c, grid),
+        f"the kernel's forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g} "
+        f"(discrete mode k = {k + 1}: beta_k + c = {denom[k]:.3e}); ",
+    )
+
+
 # ---------------------------------------------------------------------------
 # solves
 
@@ -494,7 +567,16 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     responses.  For the discrete operator y_a = -G e_1 / spacing and
     y_b = -G e_{n-1} / spacing exactly, so the end moments fold into the
     weights: u = G w' with w' = spacing times the right-hand side of
-    :func:`direct_solve`.  G is symmetric, so only its lower triangle is
+    :func:`direct_solve`.
+
+    When c is constant on the interior nodes, G is the sine-transform
+    kernel that :func:`~beamsign.greens.greens_discrete` returns, and the
+    sum is G w' = (2 / n) S diag(1 / (beta_k + c)) S rhs, S the DST-I: two
+    FFTs of length 2n, no n x n work and no kernel solve.  The test for
+    that path, and the ResonanceError that names the discrete mode when a
+    denominator beta_k + c lies within its rounding, are
+    :func:`_constant_modes`, shared with the kernel.  Otherwise G is
+    symmetric, so only its lower triangle is
     solved, in float64 on the operator's single factorization, in blocks of
     ``_KERNEL_BLOCK`` columns: the block from column j0 takes one transposed
     solve on the trailing factors from row j0 - 2, whose rows from j0 on
@@ -503,7 +585,10 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     diagonal part to rows j0 .. j1-1; no n x n matrix is formed.
 
     That sum is then refined as a solution of the operator, so extended
-    precision touches only the returned vector.  Refinement would correct
+    precision touches only the returned vector.  The sine-transform sum
+    needs it as well: it solves the exact operator L**2 + p L + c I, while
+    the residual bound is taken on the rounded band, which lies about 1e-8
+    away at n = 250 and 2.5e-6 at n = 1000.  Refinement would correct
     any start, so the sum must also agree with the refined u to
     ``_SUPERPOSITION_RTOL`` * sup|u|: that check is what makes G answer for
     the result.  Raises :class:`~beamsign.errors.ResonanceError` when the
@@ -513,20 +598,25 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     op = assemble(problem.p, problem.c, grid)
     m = grid.n - 1
     rhs = _rhs_vector(op, problem)
-    weights = rhs[1:-1] * grid.spacing  # h w, with d1 and d2 in the first and last entries
     u0 = np.zeros(grid.n + 1)
     inner = u0[1:-1]
-    keep = np.tri(_KERNEL_BLOCK)  # ones on and below the diagonal
-    for j0 in range(0, m, _KERNEL_BLOCK):
-        j1 = min(j0 + _KERNEL_BLOCK, m)
-        width = j1 - j0
-        start = max(j0 - 2, 0)  # rows from j0 on are exact from this start
-        loads = np.zeros((m - start, width), order="F")  # the layout LAPACK reads without a copy
-        loads[j0 - start + np.arange(width), np.arange(width)] = 1.0 / grid.spacing
-        block = op._solve_interior(loads, start)[j0 - start :]
-        block[:width] *= keep[:width, :width]
-        inner[j0:] += block @ weights[j0:j1]
-        inner[j0:j1] += block.T @ weights[j0:] - block.diagonal() * weights[j0:j1]
+    modes = _constant_modes(problem.p, problem.c, grid)
+    if modes is not None:
+        # G (h w') = A^-1 rhs = (2 / n) S diag(1 / d_k) S rhs, S the DST-I
+        inner[...] = _dst1(_dst1(rhs[1:-1]) / modes[0]) * (2.0 / grid.n)
+    else:
+        weights = rhs[1:-1] * grid.spacing  # h w, with d1 and d2 in the first and last entries
+        keep = np.tri(_KERNEL_BLOCK)  # ones on and below the diagonal
+        for j0 in range(0, m, _KERNEL_BLOCK):
+            j1 = min(j0 + _KERNEL_BLOCK, m)
+            width = j1 - j0
+            start = max(j0 - 2, 0)  # rows from j0 on are exact from this start
+            loads = np.zeros((m - start, width), order="F")  # the layout LAPACK reads without a copy
+            loads[j0 - start + np.arange(width), np.arange(width)] = 1.0 / grid.spacing
+            block = op._solve_interior(loads, start)[j0 - start :]
+            block[:width] *= keep[:width, :width]
+            inner[j0:] += block @ weights[j0:j1]
+            inner[j0:j1] += block.T @ weights[j0:] - block.diagonal() * weights[j0:j1]
     bound = _residual_bound(problem)
     u, res = _solve_refined(op, rhs, bound, start=u0)
     if not np.isfinite(res) or res > bound:

@@ -103,6 +103,21 @@ def _discrete_beta(p: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return mu, mu * (mu + p)
 
 
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """The DST-I sum_i x[i - 1] sin(i k pi / n), k = 1 .. n - 1, of the n - 1 entries of ``x``.
+
+    Taken as one ``rfft`` of the odd extension (0, x, 0, -x reversed), of
+    length 2n, whose k-th coefficient is -2i times the sum.  The DST-I is
+    its own inverse up to the factor 2 / n.  ``numpy.fft`` loads at the
+    first call, not at import.
+    """
+    n = len(x) + 1
+    ext = np.zeros(2 * n)
+    ext[1:n] = x
+    ext[n + 1 :] = -x[::-1]
+    return np.fft.rfft(ext).imag[1:n] * -0.5
+
+
 def lambda_k(p: float, interval: Interval, k: int) -> float:
     """k-th eigenvalue (k pi/L)^4 + p (k pi/L)^2 of the hinged operator."""
     require_p(p)

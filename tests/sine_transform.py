@@ -1,14 +1,24 @@
-"""Closed-form references for constant c, written independently of the package.
+"""References for the discrete operator, written independently of the package.
 
 For constant c the interior block of the discrete operator is
 A = L^2 + p L + c I, L the Dirichlet second-difference matrix with spacing h.
 The DST-I diagonalises it: A = S diag(lambda_k) S * 2 / n with S[i, k] =
 sin(i k pi / n) and lambda_k = mu_k^2 + p mu_k + c, mu_k = (4 / h^2)
 sin^2(k pi / 2n).  The sums over k are DST-Is, taken as the FFT of the odd
-extension.
+extension.  For variable c, :func:`mpmath_inverse` inverts
+L^2 + p L + diag(c) densely at 50 digits, and :func:`mpmath_band_solve`
+solves an assembled (rounded) band at 40 digits.
 """
 
 import numpy as np
+
+# coefficients that vary on the interior of [0, 1], each with its p: one
+# positive, one that crosses zero, and one past -lambda_1, where A is indefinite
+VARIABLE_COEFFICIENTS = [
+    (0.0, lambda t: 40.0 + 30.0 * np.sin(np.pi * t)),
+    (5.0, lambda t: -60.0 + 40.0 * np.cos(2.0 * t)),
+    (2.0, lambda t: -250.0 + 30.0 * np.sin(np.pi * t)),
+]
 
 
 def dst1(x: np.ndarray) -> np.ndarray:
@@ -55,3 +65,60 @@ def sine_transform_solve(p: float, c: float, n: int, h: float, rhs: np.ndarray) 
     u = np.zeros(n + 1)
     u[1:n] = dst1(dst1(np.asarray(rhs, dtype=np.float64)[1:n]) / modal_denominators(p, c, n, h))
     return u * (2.0 / n)
+
+
+def mpmath_inverse(p: float, c: np.ndarray, h: float) -> np.ndarray:
+    """A^-1 for A = L^2 + p L + diag(``c``) on the interior nodes, at 50 digits, rounded once.
+
+    ``c`` holds the n - 1 interior values; slow, so only for small n.
+    """
+    import mpmath
+
+    m = len(c)
+    with mpmath.workdps(50):
+        T = mpmath.matrix(m)
+        for i in range(m):
+            T[i, i] = 2 / mpmath.mpf(h) ** 2
+            if i:
+                T[i, i - 1] = T[i - 1, i] = -1 / mpmath.mpf(h) ** 2
+        A = T * T + p * T
+        for i in range(m):
+            A[i, i] += mpmath.mpf(float(c[i]))
+        inverse = A**-1
+        return np.array([[float(inverse[i, j]) for j in range(m)] for i in range(m)])
+
+
+def mpmath_band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The interior solution of a (2, 2) band on nodes 0 .. n, at 40 digits, rounded once.
+
+    ``band[2 + i - j, j]`` holds A[i, j], the storage of the assembled
+    operator, whose float64 entries are taken exactly; ``rhs`` and the result
+    are on nodes 0 .. n with the ends zero.  Gaussian elimination with
+    partial pivoting over the band of rows 1 .. n - 1, in O(n).
+    """
+    import mpmath
+
+    m = band.shape[1] - 2
+    with mpmath.workdps(40):
+        rows = [
+            {j: mpmath.mpf(float(band[2 + i - j, j])) for j in range(max(1, i - 2), min(m, i + 2) + 1)}
+            for i in range(1, m + 1)
+        ]
+        b = [mpmath.mpf(float(x)) for x in rhs[1 : m + 1]]
+        for k in range(m):
+            top = max(range(k, min(m, k + 3)), key=lambda i: abs(rows[i].get(k + 1, 0)))
+            rows[k], rows[top] = rows[top], rows[k]
+            b[k], b[top] = b[top], b[k]
+            for i in range(k + 1, min(m, k + 3)):
+                f = rows[i].pop(k + 1, 0) / rows[k][k + 1]
+                for j, v in rows[k].items():
+                    if j > k + 1:
+                        rows[i][j] = rows[i].get(j, 0) - f * v
+                b[i] -= f * b[k]
+        x = [mpmath.mpf(0)] * m
+        for k in reversed(range(m)):
+            s = b[k] - mpmath.fsum(v * x[j - 1] for j, v in rows[k].items() if j > k + 1)
+            x[k] = s / rows[k][k + 1]
+        out = np.zeros(len(rhs))
+        out[1 : m + 1] = [float(v) for v in x]
+        return out

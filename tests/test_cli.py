@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,20 @@ def test_greens_command_writes_the_kernel(tmp_path, capsys):
     assert np.max(np.abs(matrix - matrix.T)) < 1e-8 * np.max(np.abs(matrix))
 
 
+@pytest.mark.parametrize("n", [8, 50, 200])
+def test_greens_csv_is_the_repr_of_every_entry(tmp_path, capsys, n):
+    # the file holds the repr of every kernel entry, row by row, so it reads
+    # back bit for bit
+    for p, m in (("0", "0"), ("5", "-80"), ("50", "3000")):
+        out = tmp_path / "g.csv"
+        assert run(["greens", "--p", p, "--m", m, "--n", str(n), "--out", str(out)]) == 0
+        capsys.readouterr()
+        grid = beamsign.Grid(beamsign.Interval(0.0, 1.0), n)
+        G = beamsign.greens_discrete(float(p), beamsign.ScalarField.constant(grid, float(m)), grid)
+        body = [",".join(repr(float(x)) for x in row) for row in G.values]
+        assert out.read_text().splitlines()[1:] == body
+
+
 def test_negative_numbers_in_scientific_notation(tmp_path, capsys):
     # "--m -5e2" once failed with "expected one argument" while "--m -500" and
     # "--m=-5e2" worked: argparse's negative-number pattern had no exponent
@@ -306,12 +321,15 @@ def test_problem_file_validation_messages():
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_optimize():
-    # each of these costs hundreds of milliseconds on every command line start
+    # scipy.integrate and scipy.optimize each cost hundreds of milliseconds on
+    # every command line start, so no scipy module loads at import: the solver
+    # loads scipy's LAPACK extension at its first factorization, and the sine
+    # transform numpy.fft at its first call
     src = str(Path(beamsign.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys, beamsign.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.fft')))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -430,6 +448,19 @@ def test_tiny_interval_is_an_input_error(tmp_path, capsys):
         "delta1         = 3.947841760435744e+181\n"
         "delta1_alt     = 3.9478417604357434e+91  # variant reading with (b-a)^(3/2) scaling\n"
     )
+
+
+def test_check_integrates_a_huge_coefficient_without_overflow(tmp_path, capsys):
+    # the Simpson sum of c_minus = 2e306 on 200 panels overflowed float64 and
+    # the Thm6_1_pos_h threshold guard then reported an input error, although
+    # int c_minus = 2e306 is representable
+    path = write_problem(tmp_path, BASE.format(c="-2e306") + "grid.n = 200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "Thm5_1_unique    no   2e+306                   <" in out
+    assert "rule = Prop4_2_unique\n" in out
 
 
 def test_nan_fixed_point_tolerance_is_an_input_error(tmp_path, capsys):

@@ -14,7 +14,13 @@ from beamsign.greens import (
 )
 from beamsign.solver import assemble, smallest_eigenvalue
 from beamsign.spectrum import _discrete_beta, lambda_k
-from sine_transform import mpmath_denominators, modal_denominators, sine_transform_kernel
+from sine_transform import (
+    VARIABLE_COEFFICIENTS,
+    mpmath_denominators,
+    mpmath_inverse,
+    modal_denominators,
+    sine_transform_kernel,
+)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -282,24 +288,30 @@ def test_the_closed_form_is_exactly_symmetric_and_within_its_bound():
 def test_the_closed_form_matches_an_mpmath_inverse_next_to_resonance(n):
     # c within 1e-6 of -beta_1, on either side: the kernel is then within its
     # bound of A^-1 / h, with A = L^2 + p L + c I inverted at 50 digits
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
     grid = Grid(UNIT, n)
     h = grid.spacing
     for p in (0.0, 5.0):
         beta1 = modal_denominators(p, 0.0, n, h)[0]
         for cv in (-beta1 * (1.0 - 1e-6), -beta1 * (1.0 + 1e-6)):
             G = greens_discrete(p, ScalarField.constant(grid, cv), grid)
-            with mpmath.workdps(50):
-                T = mpmath.matrix(n - 1)
-                for i in range(n - 1):
-                    T[i, i] = 2 / mpmath.mpf(h) ** 2
-                    if i:
-                        T[i, i - 1] = T[i - 1, i] = -1 / mpmath.mpf(h) ** 2
-                A = T * T + p * T + mpmath.mpf(cv) * mpmath.eye(n - 1)
-                inverse = A**-1 / mpmath.mpf(h)
-                ref = np.array([[float(inverse[i, j]) for j in range(n - 1)] for i in range(n - 1)])
+            ref = mpmath_inverse(p, np.full(n - 1, cv), h) / h
             err = np.max(np.abs(G.values[1:-1, 1:-1] - ref)) / np.max(np.abs(ref))
             assert err <= G.forward_error_bound <= 1e-3
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_the_split_kernel_matches_an_mpmath_inverse(n):
+    # variable c, where no closed form exists: A^-1 / h inverted at 50 digits
+    pytest.importorskip("mpmath")
+    grid = Grid(UNIT, n)
+    for p, c_of in VARIABLE_COEFFICIENTS:
+        cv = c_of(grid.nodes)
+        G = greens_discrete(p, ScalarField(grid, cv), grid)
+        ref = mpmath_inverse(p, cv[1:-1], grid.spacing) / grid.spacing
+        err = np.max(np.abs(G.values[1:-1, 1:-1] - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-10
+        assert err <= G.forward_error_bound
 
 
 def test_interior_constant_c_takes_the_closed_form(monkeypatch):

@@ -241,3 +241,17 @@ def test_spectral_quantities_name_the_interval_when_they_overflow():
     # large p alone keeps its own message
     with pytest.raises(ValueError, match=r"^lambda2 overflows float64 at p = 1e\+160$"):
         lambda2(1e160, Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 250])
+def test_dst1_matches_the_dense_sine_matrix(n):
+    from beamsign.spectrum import _dst1
+
+    x = np.random.default_rng(n).standard_normal(n - 1)
+    k = np.arange(1, n)
+    S = np.sin(np.outer(k, k) * np.pi / n)  # S[k - 1, i - 1] = sin(i k pi / n)
+    y = _dst1(x)
+    assert y.shape == (n - 1,)
+    assert np.max(np.abs(y - S @ x)) <= 1e-13 * np.sum(np.abs(x))
+    # the DST-I is its own inverse up to 2 / n
+    assert np.max(np.abs(_dst1(y) * (2.0 / n) - x)) <= 1e-13 * np.max(np.abs(x))
