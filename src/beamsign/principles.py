@@ -126,8 +126,8 @@ def _eval_thm_positive(c: ScalarField, sd: SpectralData):
         # on very short intervals the denominator leaves float64, and r would read 0
         denom = _finite(
             "the Thm5_1 solution bound", sd.p, sd.interval,
-            lambda: float(sd.delta1 - int_minus) * math.sqrt(sd.lambda1 + min_plus)
-            / math.sqrt(sd.delta1),
+            lambda: float(sd.delta1 - int_minus) / math.sqrt(sd.delta1)
+            * math.sqrt(sd.lambda1 + min_plus),
         )
         r = float(np.sqrt(sd.interval.length) / denom)
     pos_ok = unique_ok and recs[1].satisfied
@@ -185,8 +185,8 @@ def _eval_amp_positive(c: ScalarField, h: ScalarField, sd: SpectralData):
     min_term = min(extrema(c_plus)[0], -sd.lambda2)
     thr2 = _finite(
         "the Thm6_1_pos_h threshold", sd.p, sd.interval,
-        lambda: -sd.lambda2 + ratio * float(sd.delta1 - int_minus)
-        * math.sqrt(max(sd.lambda1 + min_term, 0.0)) / math.sqrt(sd.delta1),
+        lambda: -sd.lambda2 + ratio * float(sd.delta1 - int_minus) / math.sqrt(sd.delta1)
+        * math.sqrt(max(sd.lambda1 + min_term, 0.0)),
     )
     recs.append(
         _rec(
@@ -229,8 +229,8 @@ def _eval_amp_negative(c: ScalarField, h: ScalarField, p: float, interval: Inter
         return False, recs, notes
     lower = _finite(
         "the Thm6_2_neg_h threshold", p, interval,
-        lambda: -sd.lambda3 - ratio * float(sd.delta1 * d2v - dev)
-        * math.sqrt(sd.lambda1 / interval.length) / math.sqrt(sd.delta1),
+        lambda: -sd.lambda3 - ratio * float(sd.delta1 * d2v - dev) / math.sqrt(sd.delta1)
+        * math.sqrt(sd.lambda1 / interval.length),
     )
     recs.append(
         _rec(

@@ -17,17 +17,18 @@ correction with the residual accumulated in extended precision, and by more
 (up to three in all) only while the residual still misses the caller's bound.
 That brings the residual into the 1e-10 range and keeps the strict residual
 contract checkable.  The superposition solve folds the end moments into the
-weights of the kernel columns and sums the kernel against them: for c
-constant on the interior nodes by the sine transform, two FFTs with no
-factorization (see ``_constant_modes``, which ``greens.greens_discrete``
-shares), and otherwise by solving only the lower triangle of the symmetric
-kernel in float64, in blocks on the trailing factors, block by block.  It
-then refines only that sum and checks that the sum agrees with the refined
-solution, so its extended-precision work is on one vector, never on the
-n x n kernel.  The refinement stays for constant c too: the sine transform
-solves the exact operator, while the residual contract is measured on the
-rounded band, about 1e-8 away at n = 250.  Inverse iteration likewise
-estimates its eigenvalue in float64 and takes the extended-precision
+weights of the kernel columns, so its kernel sum is A^-1 applied to the
+right-hand side, and takes that sum in O(n) from the kernel's own
+construction: for c constant on the interior nodes by the sine transform,
+two FFTs with no factorization (see ``_constant_modes``, which
+``greens.greens_discrete`` shares), and otherwise by one float64 solve on
+the split system described below, which ``greens.greens_discrete`` factors
+the same way.  It then refines only that sum on the rounded band and checks
+that the sum agrees with the refined solution, so no n x n kernel is formed
+and its extended-precision work is on one vector.  The refinement stays
+because both sums solve the exact operator, while the residual contract is
+measured on the rounded band, about 1e-8 away at n = 250.  Inverse iteration
+likewise estimates its eigenvalue in float64 and takes the extended-precision
 Rayleigh quotient only over its last few steps.
 
 The discrete kernel (``greens.greens_discrete``) is not solved on that band.
@@ -39,14 +40,15 @@ comes from the split system M instead: with v = L u, each interior
 equation is L u - v = 0 and L v + p v + c u = f, the unknowns are interleaved
 as (u_1, v_1, u_2, v_2, ...), and M is again a (2, 2) band, on 2 (n - 1)
 rows, in which c never meets a spacing**-4 term.  Its LU factors come with a
-forward-error bound computed once per factorization, in O(n), without a
+forward-error bound, computed in O(n) at its first read and without a
 residual: the backward error of a solve is bounded by |P L| |U| (Higham,
 Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sections
 3.1, 8.1 and 9.3) and multiplied by LAPACK's condition estimate (``gbcon``).
 Solves run with M^T, whose backward error takes the column sums of
 |P L| |U|, since partial pivoting leaves every column of L with three
 entries but lets a row collect hundreds (see ``_lu_column_sums``).  As A is
-symmetric, M^T y = (e_j, 0) gives A^-1 e_j in the v-rows of y.  The kernel
+symmetric, M^T y = (b, 0) gives A^-1 b in the v-rows of y: with b = e_j a
+kernel column, with b the right-hand side the superposition sum.  The kernel
 is symmetric too, so only its lower triangle is solved: a block of columns
 starting at j needs only the rows from 2 j on, and those come from the
 trailing part of the same factors (see ``_solve_split_transposed``), bit for
@@ -111,22 +113,18 @@ _MU_MIN = 2.0**-511
 # eigenvalue -(mu_1^2 + p mu_1) gives 1e5 or more
 _KERNEL_RTOL = 1e-3
 # largest gap, relative to sup|u|, allowed between the float64 kernel sum and
-# the refined solution: rounding gives up to 7e-9 at n = 250 and 2.3e-7 at
-# n = 1000, while at n = 200 a zeroed or shifted kernel column, the zeroed
-# first column (which also carries d1), or every column scaled by 1.001
-# moves the sum by 1e-3 or more.  The sine-transform sum of constant c solves
-# the exact operator, so its gap is also the distance to the rounded band,
-# which grows about like n**4: 1e-8 at n = 250, 2.5e-6 at n = 1000 (p = 0,
-# c = 0).  It reaches this tolerance at n = 1000 for p = 0, c = -80 (1.4e-5),
-# where the residual bound already misses 10x and raises first; on [0, 1],
-# for n from 1000 to 3000, p in {0, 5, 50} and c from -150 to 1e5, it stays
-# at 2.4e-6 or less wherever the residual bound holds (the largest at
-# n = 1200, p = 50, c = -150)
+# the refined solution.  Both sums, the sine transform of constant c and the
+# split solve of variable c, solve the exact operator, so the gap is also the
+# distance to the rounded band, which grows about like n**4: 1e-8 at n = 250,
+# 2.5e-6 at n = 1000 (p = 0, c = 0).  At n = 200 a zeroed or shifted load,
+# the zeroed first load (which also carries d1), or every load scaled by
+# 1.001 moves the sum by 3.8e-4 of sup|u| or more.  The gap reaches this
+# tolerance at n = 1000 for p = 0, c = -80 (1.4e-5), where the residual bound
+# already misses 10x and raises first; on [0, 1], for n from 1000 to 3000,
+# p in {0, 5, 50} and c from -150 to 1e5, constant or plus 0.1 or
+# 30 sin(pi t)**2, it stays at 2.4e-6 or less wherever the residual bound
+# holds (the largest at n = 1200, p = 50, c = -150)
 _SUPERPOSITION_RTOL = 1e-5
-# kernel columns per trailing solve, in greens_discrete and superposition_solve:
-# 48 and 64 tie as the fastest at n = 250 and n = 1000, while 32 and 96 are up
-# to 5 % slower
-_KERNEL_BLOCK = 48
 
 
 def _resolve_grid(own: Grid, given: Grid | None) -> Grid:
@@ -180,7 +178,7 @@ class OperatorMatrix:
     right-hand side, not in the matrix).  The LU factors of the interior block
     are computed at the first solve and kept for every later one, and so are
     those of the split system (see the module docstring) at the first split
-    solve.
+    solve, and their forward-error bound at its first read.
     """
 
     grid: Grid
@@ -190,29 +188,15 @@ class OperatorMatrix:
     _band_ld: np.ndarray | None = field(default=None, repr=False)
     _lu: tuple | None = field(default=None, repr=False)
     _split: tuple | None = field(default=None, repr=False)
+    _split_bound: float | None = field(default=None, repr=False)
 
     def band_extended(self) -> np.ndarray:
         if self._band_ld is None:
             self._band_ld = self.band.astype(np.longdouble)
         return self._band_ld
 
-    def _solve_interior(self, rhs: np.ndarray, start: int = 0) -> np.ndarray:
-        """Interior-block solve in float64; ``rhs`` has n - 1 - ``start`` rows.
-
-        A matrix of right-hand sides is solved with the transposed factors,
-        which sweep Fortran-ordered columns faster, and is overwritten when
-        it is Fortran-ordered.  That solves the same system, since the
-        interior block equals its transpose exactly (``assemble`` writes the
-        same expression on both off-diagonals), with different rounding.  A
-        vector takes the plain solve.
-
-        With ``start`` = r > 0 a matrix is solved on the trailing factors
-        ``lu[:, r:]`` with the pivots ``piv[r:] - r``.  When the full
-        right-hand side vanishes in rows 0 .. r - 1, rows r + 2 and below of
-        the result equal those of the full transposed solve bit for bit, by
-        the argument of :meth:`_solve_split_transposed` (the band has two
-        subdiagonals here too).
-        """
+    def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
+        """Interior-block solve of a vector ``rhs`` of n - 1 rows, in float64."""
         lapack = _lapack()  # loaded at the first solve, without scipy.linalg
         if self._lu is None:
             ab = np.zeros((7, self.grid.n - 1), order="F")
@@ -222,20 +206,38 @@ class OperatorMatrix:
                 raise _resonance_error(self)
             self._lu = (lu, piv)
         lu, piv = self._lu
-        if rhs.ndim == 2:
-            if start:
-                lu, piv = lu[:, start:], piv[start:] - start
-            return lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0]
         return lapack.dgbtrs(lu, 2, 2, rhs, piv)[0]
 
-    def _solve_split_transposed(self, rhs: np.ndarray, start: int = 0) -> tuple[np.ndarray, float]:
-        """Solve M^T y = rhs for the split matrix M, in float64, with a forward-error bound.
+    def _split_factors(self) -> tuple:
+        # (lu, piv, ||M||_1, info) of the split matrix M, factored at the first call
+        if self._split is None:
+            ab = _split_band(self)
+            norm = float(np.max(np.sum(np.abs(ab[2:]), axis=0)))  # max column sum of |M|
+            lu, piv, info = _lapack().dgbtrf(ab, 2, 2, overwrite_ab=1)
+            self._split = (lu, piv, norm, info)
+        return self._split
 
-        ``rhs`` holds rows ``start`` .. 2 (n - 1) - 1 of the right-hand side,
-        interleaved as the columns of :func:`_split_band`, and is overwritten
-        when it is Fortran-ordered.  Each column y of the result meets
-        max|y - y_exact| <= bound * max|y|; the bound is inf when M is
-        singular.  M is factored at the first call.
+    def _split_error_bound(self) -> float:
+        """The forward-error bound of every solve by :meth:`_solve_split_transposed`.
+
+        Each column y of a result meets max|y - y_exact| <= bound * max|y|;
+        the bound is inf when M is singular.  It is computed at its first
+        read (:func:`_split_error`) and kept, so solves whose caller never
+        reads it skip the condition estimate.
+        """
+        if self._split_bound is None:
+            lu, piv, norm, info = self._split_factors()
+            self._split_bound = np.inf if info != 0 else _split_error(_lapack(), lu, piv, norm)
+        return self._split_bound
+
+    def _solve_split_transposed(self, rhs: np.ndarray, start: int = 0) -> np.ndarray:
+        """Solve M^T y = rhs for the split matrix M, in float64.
+
+        ``rhs`` (a vector or a matrix of columns) holds rows ``start`` ..
+        2 (n - 1) - 1 of the right-hand side, interleaved as the columns of
+        :func:`_split_band`, and is overwritten when it is Fortran-ordered.
+        M is factored at the first call; :meth:`_split_error_bound` bounds
+        the error of the result.
 
         With ``start`` = r > 0 only the trailing factors are used,
         ``lu[:, r:]`` with the pivots ``piv[r:] - r``.  When the full
@@ -253,17 +255,10 @@ class OperatorMatrix:
         full solve swaps to earlier rows unchanged, so max|y| over the
         returned rows is at most that of the full solve.
         """
-        lapack = _lapack()
-        if self._split is None:
-            ab = _split_band(self)
-            norm = float(np.max(np.sum(np.abs(ab[2:]), axis=0)))  # max column sum of |M|
-            lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
-            bound = np.inf if info != 0 else _split_error(lapack, lu, piv, norm)
-            self._split = (lu, piv, bound)
-        lu, piv, bound = self._split
+        lu, piv = self._split_factors()[:2]
         if start:
             lu, piv = lu[:, start:], piv[start:] - start
-        return lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0], bound
+        return _lapack().dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0]
 
     def apply(self, values) -> np.ndarray:
         """A @ values in the dtype of ``values`` (rows 0 and n return u(a), u(b))."""
@@ -384,7 +379,7 @@ def _equilibrated_split_error(op: OperatorMatrix) -> float:
     misses.
     ``op``'s split system must be factored.
     """
-    lu, piv, _ = op._split
+    lu, piv = op._split[:2]
     m_abs = np.abs(_split_band(op)[2:])  # |M| in its five diagonals, by column
     scale = 1.0 / np.max(m_abs, axis=0)
     norm = float(np.max(np.sum(m_abs, axis=0) * scale))
@@ -569,34 +564,31 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     weights: u = G w' with w' = spacing times the right-hand side of
     :func:`direct_solve`.
 
-    When c is constant on the interior nodes, G is the sine-transform
-    kernel that :func:`~beamsign.greens.greens_discrete` returns, and the
-    sum is G w' = (2 / n) S diag(1 / (beta_k + c)) S rhs, S the DST-I: two
-    FFTs of length 2n, no n x n work and no kernel solve.  The test for
-    that path, and the ResonanceError that names the discrete mode when a
+    So the sum is A^-1 rhs, with A the operator and rhs that right-hand
+    side, and it is taken in O(n) from the kernel that
+    :func:`~beamsign.greens.greens_discrete` returns, with no n x n work.
+    When c is constant on the interior nodes, G is its sine-transform
+    kernel, and the sum is G w' = (2 / n) S diag(1 / (beta_k + c)) S rhs,
+    S the DST-I: two FFTs of length 2n and no solve.  The test for that
+    path, and the ResonanceError that names the discrete mode when a
     denominator beta_k + c lies within its rounding, are
-    :func:`_constant_modes`, shared with the kernel.  Otherwise G is
-    symmetric, so only its lower triangle is
-    solved, in float64 on the operator's single factorization, in blocks of
-    ``_KERNEL_BLOCK`` columns: the block from column j0 takes one transposed
-    solve on the trailing factors from row j0 - 2, whose rows from j0 on
-    equal those of a full solve bit for bit.  Each block B, zeroed above its
-    diagonal, adds B w'[j0:j1] to rows j0 .. n-2 and B^T w'[j0:] less its
-    diagonal part to rows j0 .. j1-1; no n x n matrix is formed.
+    :func:`_constant_modes`, shared with the kernel.  Otherwise G comes
+    from the split matrix M, and the sum is one float64 solve M^T y =
+    (rhs, 0), with rhs in the u-rows, which leaves A^-1 rhs in the v-rows.
+    It never reads the factors' forward-error bound.
 
-    That sum is then refined as a solution of the operator, so extended
-    precision touches only the returned vector.  The sine-transform sum
-    needs it as well: it solves the exact operator L**2 + p L + c I, while
-    the residual bound is taken on the rounded band, which lies about 1e-8
-    away at n = 250 and 2.5e-6 at n = 1000.  Refinement would correct
-    any start, so the sum must also agree with the refined u to
-    ``_SUPERPOSITION_RTOL`` * sup|u|: that check is what makes G answer for
-    the result.  Raises :class:`~beamsign.errors.ResonanceError` when the
-    check fails or under the same residual bound as :func:`direct_solve`.
+    That sum is then refined as a solution of the rounded band, so extended
+    precision touches only the returned vector.  Both sums need it: they
+    solve the exact operator L**2 + p L + C, while the residual bound is
+    taken on the rounded band, which lies about 1e-8 away at n = 250 and
+    2.5e-6 at n = 1000.  Refinement would correct any start, so the sum
+    must also agree with the refined u to ``_SUPERPOSITION_RTOL`` * sup|u|:
+    that check is what makes G answer for the result.  Raises
+    :class:`~beamsign.errors.ResonanceError` when the check fails or under
+    the same residual bound as :func:`direct_solve`.
     """
     grid = _resolve_grid(problem.grid, grid)
     op = assemble(problem.p, problem.c, grid)
-    m = grid.n - 1
     rhs = _rhs_vector(op, problem)
     u0 = np.zeros(grid.n + 1)
     inner = u0[1:-1]
@@ -605,18 +597,10 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
         # G (h w') = A^-1 rhs = (2 / n) S diag(1 / d_k) S rhs, S the DST-I
         inner[...] = _dst1(_dst1(rhs[1:-1]) / modes[0]) * (2.0 / grid.n)
     else:
-        weights = rhs[1:-1] * grid.spacing  # h w, with d1 and d2 in the first and last entries
-        keep = np.tri(_KERNEL_BLOCK)  # ones on and below the diagonal
-        for j0 in range(0, m, _KERNEL_BLOCK):
-            j1 = min(j0 + _KERNEL_BLOCK, m)
-            width = j1 - j0
-            start = max(j0 - 2, 0)  # rows from j0 on are exact from this start
-            loads = np.zeros((m - start, width), order="F")  # the layout LAPACK reads without a copy
-            loads[j0 - start + np.arange(width), np.arange(width)] = 1.0 / grid.spacing
-            block = op._solve_interior(loads, start)[j0 - start :]
-            block[:width] *= keep[:width, :width]
-            inner[j0:] += block @ weights[j0:j1]
-            inner[j0:j1] += block.T @ weights[j0:] - block.diagonal() * weights[j0:j1]
+        # G w' = A^-1 rhs: M^T y = (rhs, 0), with rhs in the u-rows, has A^-1 rhs in its v-rows
+        loads = np.zeros(2 * (grid.n - 1))
+        loads[0::2] = rhs[1:-1]
+        inner[...] = op._solve_split_transposed(loads)[1::2]
     bound = _residual_bound(problem)
     u, res = _solve_refined(op, rhs, bound, start=u0)
     if not np.isfinite(res) or res > bound:

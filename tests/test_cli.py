@@ -414,8 +414,8 @@ def test_tiny_interval_is_an_input_error(tmp_path, capsys):
         assert run(["check", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: input: ") and f"on an interval of length L = {b}\n" in err
-    # the discrete operator, (2/h)^2 ((2/h)^2 + p), leaves float64 first, and
-    # with it the denominator of the Thm5_1 bound, which would make r_bound read 0
+    # the discrete operator, (2/h)^2 ((2/h)^2 + p), leaves float64 first; the
+    # Thm5_1 bound r = L^4 / (2 pi^3) of c = 0 is still representable there
     path = write_problem(
         tmp_path, BASE.format(c=0).replace("interval.b = 1", "interval.b = 1e-76") + "grid.n = 200\n"
     )
@@ -423,10 +423,8 @@ def test_tiny_interval_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: input: the discrete operator overflows float64 at p = 0.0 on an interval of length L = 1e-76\n"
     )
-    assert run(["check", str(path)]) == 1
-    assert capsys.readouterr().err == (
-        "error: input: the Thm5_1 solution bound overflows float64 at p = 0.0 on an interval of length L = 1e-76\n"
-    )
+    assert run(["check", str(path)]) == 0
+    assert _r_bound(capsys.readouterr().out) == pytest.approx(1e-76**4 / (2.0 * np.pi**3), rel=1e-12)
     for m in ("0", "-3"):
         assert run(["greens", "--m", m, "--b", "1e-75", "--out", str(tmp_path / "g.csv")]) == 1
         assert capsys.readouterr().err == (
@@ -448,6 +446,39 @@ def test_tiny_interval_is_an_input_error(tmp_path, capsys):
         "delta1         = 3.947841760435744e+181\n"
         "delta1_alt     = 3.9478417604357434e+91  # variant reading with (b-a)^(3/2) scaling\n"
     )
+
+
+def _r_bound(out):
+    return float(out.split("r_bound = ", 1)[1].split("\n", 1)[0])
+
+
+def _threshold(out, rule, inequality):
+    # the right-hand side of one row of the check table
+    for line in out.splitlines():
+        if line.startswith(rule) and line.endswith(inequality):
+            return float(line.split()[4])
+    raise AssertionError(f"no row {rule} ... {inequality}")
+
+
+@pytest.mark.parametrize("b", ["1e-20", "1e-50"])
+def test_check_keeps_the_thm6_1_threshold_finite_for_a_huge_coefficient(tmp_path, capsys, b):
+    # (delta1 - int c_minus) sqrt(lambda1) overflowed float64 before the
+    # division by sqrt(delta1), although the threshold, about
+    # -(pi / 2) 2e306 sqrt(L), is representable
+    text = BASE.format(c="-2e306").replace("interval.b = 1", f"interval.b = {b}") + "grid.n = 200\n"
+    path = write_problem(tmp_path, text)
+    assert run(["check", str(path)]) == 0
+    threshold = _threshold(capsys.readouterr().out, "Thm6_1_pos_h", "/ sqrt(delta1)")
+    assert threshold == pytest.approx(-np.pi * 1e306 * np.sqrt(float(b)), rel=1e-6)
+
+
+def test_check_gives_the_thm5_1_bound_on_a_short_interval(tmp_path, capsys):
+    # with c = 0 the bound is r = sqrt(L / (delta1 lambda1)) = L^4 / (2 pi^3);
+    # the product (delta1 - int c_minus) sqrt(lambda1), about 4 pi^4 L^-5,
+    # overflowed float64 from about L = 7e-62 down
+    path = write_problem(tmp_path, BASE.format(c=0).replace("interval.b = 1", "interval.b = 1e-62"))
+    assert run(["check", str(path)]) == 0
+    assert _r_bound(capsys.readouterr().out) == pytest.approx(1e-62**4 / (2.0 * np.pi**3), rel=1e-12)
 
 
 def test_check_integrates_a_huge_coefficient_without_overflow(tmp_path, capsys):

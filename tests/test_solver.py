@@ -480,42 +480,39 @@ def test_superposition_is_the_sum_of_kernel_and_moment_responses():
     assert np.max(np.abs(u - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
-# corruptions of one block of kernel columns: rows j0 .. n-2 of the responses to
-# the scaled unit loads at interior nodes j0 + 1 .. j1 (interior rows and
-# columns numbered from 0)
+# corruptions of the loads that superposition_solve puts into the u-rows of
+# its one split solve: the load at interior node j weights kernel column j
+# (interior nodes numbered from 0)
 
 
-def _drop_one_load_column(block, j0):
-    if j0 <= 100 < j0 + block.shape[1]:
-        block[:, 100 - j0] = 0.0
-    return block
+def _drop_one_load_column(loads):
+    loads[2 * 100] = 0.0
+    return loads
 
 
-def _drop_the_first_load_column(block, j0):
-    # node 1, whose weight also carries d1
-    if j0 == 0:
-        block[:, 0] = 0.0
-    return block
+def _drop_the_first_load_column(loads):
+    # node 1, whose load also carries d1
+    loads[0] = 0.0
+    return loads
 
 
-def _misscale_load_columns(block, j0):
-    return block * 1.001
+def _misscale_load_columns(loads):
+    return loads * 1.001
 
 
-def _shift_load_columns(block, j0):
-    return np.roll(block, -1, axis=1)
+def _shift_load_columns(loads):
+    # each node takes the load of the one before it
+    loads[0::2] = np.roll(loads[0::2], 1)
+    return loads
 
 
-def _blocks_of(solve, change):
-    # wraps OperatorMatrix._solve_interior so that change(block, j0) sees each
-    # block of kernel columns from the first row the superposition reads
+def _loads_of(solve, change):
+    # wraps OperatorMatrix._solve_split_transposed so that change(loads) sees
+    # the right-hand side of every vector solve
     def wrapped(self, rhs, start=0):
         if rhs.ndim == 1:
-            return solve(self, rhs, start)
-        j0 = start + int(np.flatnonzero(rhs[:, 0])[0])  # column 0 loads node j0 + 1
-        out = solve(self, rhs, start)
-        out[j0 - start :] = change(out[j0 - start :], j0)
-        return out
+            rhs = change(rhs.copy())
+        return solve(self, rhs, start)
 
     return wrapped
 
@@ -526,7 +523,8 @@ def _blocks_of(solve, change):
 )
 def test_superposition_rejects_a_wrong_kernel_column(monkeypatch, corrupt):
     # refinement alone would turn any start into the solution; the kernel sum
-    # must still agree with it, so a wrong column cannot go unnoticed
+    # must still agree with it, so a wrong load, which sums a wrong kernel
+    # column, cannot go unnoticed
     from beamsign import solver
 
     grid = Grid(UNIT, 200)
@@ -534,8 +532,8 @@ def test_superposition_rejects_a_wrong_kernel_column(monkeypatch, corrupt):
     h = ScalarField(grid, 1.0 + 0.5 * np.sin(3.0 * np.pi * grid.nodes))
     problem = ProblemSpec(UNIT, 5.0, c, h, d1=-0.7, d2=-1.3)
     superposition_solve(problem)
-    solve = solver.OperatorMatrix._solve_interior
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", _blocks_of(solve, corrupt))
+    solve = solver.OperatorMatrix._solve_split_transposed
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_split_transposed", _loads_of(solve, corrupt))
     with pytest.raises(ResonanceError, match="kernel sum"):
         superposition_solve(problem)
 
@@ -590,83 +588,61 @@ def test_superposition_resonance_names_the_discrete_mode():
             assert info.value.nearest_eigenvalue == -lambda_k(p, UNIT, k)
 
 
-def test_superposition_solves_at_most_one_block_of_loads_at_a_time(monkeypatch):
-    # no n x n matrix of loads: for variable c the kernel goes through the
-    # solver in blocks, and constant c takes the sine transform, with no
-    # matrix solve at all
+def test_superposition_makes_no_matrix_solve(monkeypatch):
+    # no n x n work: for variable c the kernel sum is one vector solve on the
+    # split factors, which never estimates their condition, and constant c
+    # takes the sine transform, with no solve at all
     from beamsign import solver
 
-    widths = []
-    solve = solver.OperatorMatrix._solve_interior
+    split, interior, estimates = [], [], []
+    solve_split = solver.OperatorMatrix._solve_split_transposed
+    solve_interior = solver.OperatorMatrix._solve_interior
+    split_error = solver._split_error
 
-    def recording(self, rhs, start=0):
-        if rhs.ndim == 2:
-            widths.append(rhs.shape[1])
-            # a trailing solve starts two rows above its first load, which
-            # keeps the rows from that load on exact (see the next test)
-            assert start == 0 or not np.any(rhs[:2])
-        return solve(self, rhs, start)
+    def recording_split(self, rhs, start=0):
+        split.append(rhs.ndim)
+        return solve_split(self, rhs, start)
 
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", recording)
+    def recording_interior(self, rhs):
+        interior.append(rhs.ndim)
+        return solve_interior(self, rhs)
+
+    def recording_error(*args):
+        estimates.append(1)
+        return split_error(*args)
+
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_split_transposed", recording_split)
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", recording_interior)
+    monkeypatch.setattr(solver, "_split_error", recording_error)
     for n in (8, 200, 600):
-        widths.clear()
         grid = Grid(UNIT, n)
         c = ScalarField(grid, 40.0 + 30.0 * np.sin(np.pi * grid.nodes))
-        problem = ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0), d1=-1.0, d2=-0.5)
-        superposition_solve(problem)
-        assert widths and max(widths) <= solver._KERNEL_BLOCK
-        assert sum(widths) == n - 1  # every kernel column once
-        widths.clear()
-        superposition_solve(unit_problem(n, 40.0, d1=-1.0, d2=-0.5))
-        assert widths == []
-
-
-@pytest.mark.parametrize("n", [8, 10, 96, 98, 100, 200])
-def test_trailing_interior_solves_match_one_full_transposed_solve(n):
-    # the block from column j0 on, solved on the trailing factors from row
-    # j0 - 2, keeps rows j0 and below exactly as the full solve gives them
-    from beamsign import solver
-
-    grid = Grid(UNIT, n)
-    t = grid.nodes
-    m = n - 1
-    cases = [
-        (0.0, np.zeros(n + 1)),
-        (2.0, -250.0 + 30.0 * np.sin(np.pi * t)),  # past -lambda_1: the block pivots
-        (5.0, -2000.0 + 100.0 * np.cos(3.0 * t)),
-    ]
-    pivoted = False
-    for p, cv in cases:
-        op = assemble(p, ScalarField(grid, cv), grid)
-        full = op._solve_interior(np.asfortranarray(np.eye(m) / grid.spacing))
-        for j0 in range(0, m, solver._KERNEL_BLOCK):
-            j1 = min(j0 + solver._KERNEL_BLOCK, m)
-            start = max(j0 - 2, 0)
-            loads = np.zeros((m - start, j1 - j0), order="F")
-            loads[j0 - start + np.arange(j1 - j0), np.arange(j1 - j0)] = 1.0 / grid.spacing
-            block = op._solve_interior(loads, start)
-            assert np.array_equal(block[j0 - start :], full[j0:, j0:j1])
-        pivoted |= bool(np.any(op._lu[1] != np.arange(m)))
-    assert pivoted
+        problems = (
+            ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0), d1=-1.0, d2=-0.5),
+            unit_problem(n, 40.0, d1=-1.0, d2=-0.5),
+        )
+        for problem, split_calls in zip(problems, ([1], [])):
+            split.clear()
+            interior.clear()
+            superposition_solve(problem)
+            assert split == split_calls
+            assert interior and set(interior) == {1}  # the refinement's vector solves
+            assert estimates == []
 
 
 def test_only_a_matrix_of_loads_takes_the_transposed_sweep():
-    # the interior block is symmetric, so a matrix of right-hand sides may be
-    # solved with the transposed factors; a vector still takes the plain
-    # solve, which keeps direct_solve, y_boundary, fixed_point_solve and
-    # smallest_eigenvalue bit for bit as they were
+    # no solve on the interior block takes the transposed factors: a vector
+    # takes the plain solve, which keeps direct_solve, y_boundary,
+    # fixed_point_solve and smallest_eigenvalue bit for bit as they were
     from beamsign import solver
 
     grid = Grid(UNIT, 200)
     op = assemble(2.0, ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes)), grid)
-    rhs = np.random.default_rng(2).standard_normal((grid.n - 1, 3))
-    x = op._solve_interior(rhs[:, 0].copy())
+    rhs = np.random.default_rng(2).standard_normal(grid.n - 1)
+    x = op._solve_interior(rhs.copy())
     lu, piv = op._lu
     assert np.any(piv != np.arange(grid.n - 1))  # the factorization pivots
-    lapack = solver._lapack()
-    assert np.array_equal(x, lapack.dgbtrs(lu, 2, 2, rhs[:, 0], piv)[0])
-    block = op._solve_interior(np.asfortranarray(rhs))
-    assert np.array_equal(block, lapack.dgbtrs(lu, 2, 2, rhs, piv, trans=1)[0])
+    assert np.array_equal(x, solver._lapack().dgbtrs(lu, 2, 2, rhs, piv)[0])
 
 
 def test_superposition_agrees_with_the_untransposed_kernel_solve(monkeypatch):
@@ -873,9 +849,9 @@ def test_smallest_eigenvalue_takes_the_extended_quotient_only_at_the_end(monkeyp
     steps, extended = [], []
     solve, matvec = solver.OperatorMatrix._solve_interior, solver._band_matvec
 
-    def counting_solve(self, rhs, start=0):
+    def counting_solve(self, rhs):
         steps.append(1)
-        return solve(self, rhs, start)
+        return solve(self, rhs)
 
     def counting_matvec(band, u):
         if u.dtype == np.longdouble:
