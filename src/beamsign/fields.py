@@ -79,8 +79,8 @@ class ScalarField:
     """Samples of a real function at the nodes of a uniform grid.
 
     Values are stored as a float array of length ``grid.n + 1`` and must be
-    finite.  Float dtypes are preserved (solves hand back extended-precision
-    samples); everything else is cast to float64.
+    finite.  Float dtypes are preserved (extended-precision samples stay
+    so); everything else is cast to float64.
     """
 
     grid: Grid

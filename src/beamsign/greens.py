@@ -24,11 +24,12 @@ from .solver import (
     _KERNEL_RTOL,
     OperatorMatrix,
     _constant_modes,
-    _equilibrated_split_error,
+    _max_abs,
     _mode_error,
     _resolve_grid,
-    _resonance_error,
-    _solve_refined,
+    _solve_vector,
+    _split_scale,
+    _split_solve_error,
     assemble,
 )
 from .spectrum import _finite
@@ -92,11 +93,6 @@ class GreensSignReport:
     boundary_slope_a: float
     boundary_slope_b: float
     conclusion: str  # strongly_inverse_positive | strongly_inverse_negative | inconclusive
-
-
-def _max_abs(a: np.ndarray) -> float:
-    # max|a| without an |a| temporary
-    return max(float(np.max(a)), -float(np.min(a)))
 
 
 def char_roots(p: float, m: float) -> tuple[complex, complex, complex, complex]:
@@ -267,12 +263,13 @@ def _split_kernel(op: OperatorMatrix) -> GreensMatrix:
 
     The columns are solved in float64 with the split matrix M of
     L u - v = 0, L v + p v + c u = f (see :mod:`beamsign.solver`): its
-    transpose, with the loads in the u-rows, returns G in the v-rows.  So G
-    is the kernel of L**2 + p L + C itself, not of its rounded band.  Only
-    the lower triangle is solved, in blocks of ``_KERNEL_BLOCK`` columns:
-    the block from column j0 on takes one transposed solve on the trailing
-    factors of M from row 2 j0 - 2, whose rows from 2 j0 on equal those of a
-    full solve bit for bit.  Each block goes straight into the kernel, with
+    transpose, with the loads in the u-rows, returns G in the v-rows, and M
+    is that of the unit interval, so loads and G are each scaled by L**2
+    (``solver._split_scale``).  So G is the kernel of L**2 + p L + C
+    itself, not of its rounded band.  Only the lower triangle is solved, in
+    blocks of ``_KERNEL_BLOCK`` columns: the block from column j0 on takes
+    one transposed solve on the trailing factors of M from row 2 j0 - 2,
+    whose rows from 2 j0 on equal those of a full solve bit for bit.  Each block goes straight into the kernel, with
     its transpose in the rows above it and its diagonal block mirrored, so
     G equals G.T exactly.
 
@@ -282,12 +279,12 @@ def _split_kernel(op: OperatorMatrix) -> GreensMatrix:
     complement of M, so the bound of the full solve covers it, with max|y|
     taken over the rows the block returns (the argument is in
     ``OperatorMatrix._solve_split_transposed``).  When that bound exceeds
-    ``_KERNEL_RTOL`` = 1e-3 it is taken again on column-equilibrated factors
-    (``solver._equilibrated_split_error``), which a large c can shrink by
-    orders of magnitude; the same Schur-complement argument covers the
-    blocks, and the smaller of the two is reported.  Raises
-    :class:`~beamsign.errors.ResonanceError`, with the bound in its message,
-    when both exceed 1e-3.
+    ``_KERNEL_RTOL`` = 1e-3 it is taken again on column-equilibrated factors,
+    which a large c can shrink by orders of magnitude; the same
+    Schur-complement argument covers the blocks, and the smaller of the two
+    is reported.  Raises :class:`~beamsign.errors.ResonanceError`, with the
+    bound in its message, when both exceed 1e-3.  The vector solves share
+    this bound (``solver._split_solve_error``).
     """
     grid = op.grid
     m = grid.n - 1
@@ -296,13 +293,14 @@ def _split_kernel(op: OperatorMatrix) -> GreensMatrix:
     top = 0.0  # max|y| over every row the solves return
     scale = 0.0  # max|G| over the solved lower triangle
     keep = np.tri(_KERNEL_BLOCK, dtype=bool)  # on and below the diagonal
+    load = _split_scale(op, 1.0 / grid.spacing)
     for j0 in range(0, m, _KERNEL_BLOCK):
         j1 = min(j0 + _KERNEL_BLOCK, m)
         width = j1 - j0
         # column j loads u-row 2 j; rows from 2 j0 on are exact from this start
         start = max(2 * j0 - 2, 0)
         loads = np.zeros((2 * m - start, width), order="F")
-        loads[2 * j0 - start + 2 * np.arange(width), np.arange(width)] = 1.0 / grid.spacing
+        loads[2 * j0 - start + 2 * np.arange(width), np.arange(width)] = load
         y = op._solve_split_transposed(loads, start)
         top = max(top, _max_abs(y))
         kernel = y[2 * j0 - start + 1 :: 2]  # the v-rows hold A^-1 e_j / spacing, rows j0 on
@@ -313,34 +311,25 @@ def _split_kernel(op: OperatorMatrix) -> GreensMatrix:
         inner[j0:j1, j1:] = kernel[width:].T
         scale = max(scale, _max_abs(inner[j0:, j0:j1]))
     # the bound per max|y| becomes one per max|G|; the u-rows hold (L + p) G
-    error = op._split_error_bound()
-    bound = error * top / scale if np.isfinite(error) else np.inf
-    if np.isfinite(error) and not bound <= _KERNEL_RTOL:
-        bound = min(bound, _equilibrated_split_error(op) * top / scale)
-    if not bound <= _KERNEL_RTOL:
-        raise _resonance_error(
-            op, f"the kernel's forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g}; "
-        )
-    return GreensMatrix(grid, vals, forward_error_bound=bound)
+    bound = _split_solve_error(op, top, scale, "kernel")
+    return GreensMatrix(grid, _split_scale(op, vals), forward_error_bound=bound)
 
 
 def y_boundary(p: float, c: ScalarField, grid: Grid | None, side: str) -> ScalarField:
     """Moment response: the solution of T y = 0 with u''(side) = 1, other data zero.
 
     The end moments enter the discrete right-hand side through the ghost rows,
-    so a unit moment at a puts -1/spacing^2 at the first interior node.
+    so a unit moment at a puts -1/spacing^2 at the first interior node.  It
+    is one split solve, with the forward-error bound of
+    :func:`~beamsign.solver.direct_solve`, and raises
+    :class:`~beamsign.errors.ResonanceError` where that does.
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     grid = _resolve_grid(c.grid, grid)
-    op = assemble(p, c, grid)
     rhs = np.zeros(grid.n + 1)
     rhs[1 if side == "a" else -2] = -grid.spacing**-2
-    bound = 2e-8
-    y, res = _solve_refined(op, rhs, bound)
-    if not np.isfinite(res) or res > bound:
-        raise _resonance_error(op)
-    return ScalarField(grid, y)
+    return ScalarField(grid, _solve_vector(assemble(p, c, grid), rhs)[0])
 
 
 def sign_scan(G: GreensMatrix, grid: Grid | None = None, tol: float | None = None) -> GreensSignReport:

@@ -5,55 +5,45 @@ stencil for u'''' and the three-point stencil for u''.  The end conditions
 u(a) = u(b) = 0 occupy the first and last matrix rows; the moment conditions
 u''(a) = d1 and u''(b) = d2 are folded into the rows next to them by ghost-node
 elimination, which keeps the matrix pentadiagonal and, for d1 = d2 = 0, keeps
-the interior block symmetric.
+the interior block symmetric.  Every right-hand side built here vanishes in
+rows 0 and n, so the end values are exactly zero and only the interior block
+A = L**2 + p L + C matters (L the Dirichlet second-difference matrix, C =
+diag(c)).  ``assemble`` stores the operator as a float64 band, which
+``OperatorMatrix.apply`` and the inverse iteration of ``smallest_eigenvalue``
+use.  Its diagonal 6/spacing**4 + 2 p/spacing**2 + c rounds c away at large
+n, by up to u 6/spacing**4 (1.1e-2 at n = 2000 on [0, 1], u = 2**-53), so a
+solve on it converges to the rounded band, not to A.
 
-Every right-hand side built here vanishes in rows 0 and n, so the end values
-are exactly zero and only the interior block (rows and columns 1 .. n-1) is
-factored: once per operator, by LAPACK's banded LU (``gbtrf``), and reused by
-every solve against that operator (``gbtrs``).  Because the stencil entries
-scale like spacing**-4, a plain float64 solve leaves interior residuals around
-1e-6 at n = 400.  Each solve is therefore followed by one iterative-refinement
-correction with the residual accumulated in extended precision, and by more
-(up to three in all) only while the residual still misses the caller's bound.
-That brings the residual into the 1e-10 range and keeps the strict residual
-contract checkable.  The superposition solve folds the end moments into the
-weights of the kernel columns, so its kernel sum is A^-1 applied to the
-right-hand side, and takes that sum in O(n) from the kernel's own
-construction: for c constant on the interior nodes by the sine transform,
-two FFTs with no factorization (see ``_constant_modes``, which
-``greens.greens_discrete`` shares), and otherwise by one float64 solve on
-the split system described below, which ``greens.greens_discrete`` factors
-the same way.  It then refines only that sum on the rounded band and checks
-that the sum agrees with the refined solution, so no n x n kernel is formed
-and its extended-precision work is on one vector.  The refinement stays
-because both sums solve the exact operator, while the residual contract is
-measured on the rounded band, about 1e-8 away at n = 250.  Inverse iteration
-likewise estimates its eigenvalue in float64 and takes the extended-precision
-Rayleigh quotient only over its last few steps.
+Every other solve runs on the split system M instead: with v = L u, each
+interior equation is L u - v = 0 and L v + p v + c u = f, the unknowns are
+interleaved as (u_1, v_1, u_2, v_2, ...), and M is a (2, 2) band on
+2 (n - 1) rows in which c never meets a spacing**-4 term.  M is built for
+the unit interval (spacing 1/n, p L**2 and c L**4 for an interval of length
+L), whose operator is L**4 A: loads and results are each scaled by L**2,
+so the entries of M do not grow or shrink with the interval.  As A is
+symmetric, the transposed solve M^T y = (b, 0) gives A^-1 b in the v-rows
+of y: with b = e_j a kernel column (``greens.greens_discrete``), with b a
+right-hand side the solution of a vector solve (``_solve_vector``, behind
+``direct_solve``, ``superposition_solve``, ``fixed_point_solve`` and
+``greens.y_boundary``).  Each is a float64 ``gbtrs`` on factors computed
+once per operator, with no refinement and nothing in extended precision.
 
-The discrete kernel (``greens.greens_discrete``) is not solved on that band.
-Its entries 6/spacing**4 + 2 p/spacing**2 + c round c away at large n, so a
-kernel refined against them converges to the rounded band, not to the
-operator A = L**2 + p L + C (L the Dirichlet second-difference matrix).  For
-constant c the kernel is a sine transform in closed form; for variable c it
-comes from the split system M instead: with v = L u, each interior
-equation is L u - v = 0 and L v + p v + c u = f, the unknowns are interleaved
-as (u_1, v_1, u_2, v_2, ...), and M is again a (2, 2) band, on 2 (n - 1)
-rows, in which c never meets a spacing**-4 term.  Its LU factors come with a
-forward-error bound, computed in O(n) at its first read and without a
-residual: the backward error of a solve is bounded by |P L| |U| (Higham,
-Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, sections
-3.1, 8.1 and 9.3) and multiplied by LAPACK's condition estimate (``gbcon``).
+The factors come with a forward-error bound, computed in O(n) at its first
+read and without a residual: the backward error of a solve is bounded by
+|P L| |U| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+2002, sections 3.1, 8.1 and 9.3) and multiplied by LAPACK's condition
+estimate (``gbcon``), which estimates ||M^-1||_1 and can fall short of it.
 Solves run with M^T, whose backward error takes the column sums of
 |P L| |U|, since partial pivoting leaves every column of L with three
-entries but lets a row collect hundreds (see ``_lu_column_sums``).  As A is
-symmetric, M^T y = (b, 0) gives A^-1 b in the v-rows of y: with b = e_j a
-kernel column, with b the right-hand side the superposition sum.  The kernel
-is symmetric too, so only its lower triangle is solved: a block of columns
-starting at j needs only the rows from 2 j on, and those come from the
-trailing part of the same factors (see ``_solve_split_transposed``), bit for
-bit as a full solve would give them.  Nothing is computed in extended
-precision there.
+entries but lets a row collect hundreds (see ``_lu_column_sums``).  Kernels
+and vectors alike report that bound relative to the largest entry of their
+result and raise ``ResonanceError`` above ``_KERNEL_RTOL`` = 1e-3 (see
+``_split_solve_error``).  The kernel is symmetric too, so only its lower
+triangle is solved: a block of columns starting at j needs only the rows
+from 2 j on, and those come from the trailing part of the same factors (see
+``_solve_split_transposed``), bit for bit as a full solve would give them.
+For c constant on the interior nodes the DST-I diagonalises A, and the
+kernel and the superposition sum are sine transforms (``_constant_modes``).
 
 LAPACK comes from scipy's compiled ``scipy.linalg._flapack`` extension, which
 is loaded directly at the first factorization (see ``_lapack``).  Importing
@@ -101,29 +91,24 @@ __all__ = [
     "smallest_eigenvalue",
 ]
 
-_REFINE_STEPS = 3
 # gamma_k = k u / (1 - k u) with the unit roundoff u = 2**-53 (Higham 2002, Lemma 3.1)
 _GAMMA13 = 13 * 2.0**-53 / (1.0 - 13 * 2.0**-53)
 _GAMMA36 = 36 * 2.0**-53 / (1.0 - 36 * 2.0**-53)
 # mu_1 at least this keeps every mu_k^2 and beta_k normal, as the closed-form bounds assume
 _MU_MIN = 2.0**-511
-# largest forward-error bound, relative to max|G|, that greens_discrete accepts:
-# on [0, 1] and p in {0, 5, 50} the bound stays below 2e-4 up to n = 2000 for
-# c >= -97, 0.4 from -lambda_1, while c on the split operator's own first
-# eigenvalue -(mu_1^2 + p mu_1) gives 1e5 or more
+# largest forward-error bound, relative to the largest entry of the result,
+# that a split solve accepts, for kernels and vectors alike: on [0, 1] and p
+# in {0, 5, 50} the bound stays below 2e-4 up to n = 2000 for c >= -97, 0.4
+# from -lambda_1, while c on the split operator's own first eigenvalue
+# -(mu_1^2 + p mu_1) gives 1e5 or more
 _KERNEL_RTOL = 1e-3
-# largest gap, relative to sup|u|, allowed between the float64 kernel sum and
-# the refined solution.  Both sums, the sine transform of constant c and the
-# split solve of variable c, solve the exact operator, so the gap is also the
-# distance to the rounded band, which grows about like n**4: 1e-8 at n = 250,
-# 2.5e-6 at n = 1000 (p = 0, c = 0).  At n = 200 a zeroed or shifted load,
-# the zeroed first load (which also carries d1), or every load scaled by
-# 1.001 moves the sum by 3.8e-4 of sup|u| or more.  The gap reaches this
-# tolerance at n = 1000 for p = 0, c = -80 (1.4e-5), where the residual bound
-# already misses 10x and raises first; on [0, 1], for n from 1000 to 3000,
-# p in {0, 5, 50} and c from -150 to 1e5, constant or plus 0.1 or
-# 30 sin(pi t)**2, it stays at 2.4e-6 or less wherever the residual bound
-# holds (the largest at n = 1200, p = 50, c = -150)
+# largest gap, relative to sup|u|, allowed between the sine-transform sum of
+# constant c and the split solve of the same right-hand side.  Both solve the
+# exact operator, so the gap is about the split solve's error: on [0, 1], for
+# n from 200 to 3000, p in {0, 5, 50} and c from -150 to 1e5, it stays at
+# 6.7e-10 or less (the largest at n = 3000, p = 0, c = -97).  At n = 200 a
+# zeroed or shifted load, the zeroed first load (which also carries d1), or
+# every load scaled by 1.001 moves the sum by 3.1e-4 of sup|u| or more
 _SUPERPOSITION_RTOL = 1e-5
 
 
@@ -175,10 +160,11 @@ class OperatorMatrix:
     ``band[2 + i - j, j]`` holds the matrix entry A[i, j].  Rows 0 and n are
     the boundary value conditions; rows 1 and n - 1 carry the ghost-eliminated
     stencils encoding the end moment conditions (their d1/d2 data lands on the
-    right-hand side, not in the matrix).  The LU factors of the interior block
-    are computed at the first solve and kept for every later one, and so are
-    those of the split system (see the module docstring) at the first split
-    solve, and their forward-error bound at its first read.
+    right-hand side, not in the matrix).  The LU factors of the split system
+    (see the module docstring) are computed at the first split solve and
+    kept for every later one, and so is their forward-error bound at its
+    first read; those of the band's interior block, which only
+    :func:`smallest_eigenvalue` solves with, at its first step.
     """
 
     grid: Grid
@@ -196,7 +182,7 @@ class OperatorMatrix:
         return self._band_ld
 
     def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """Interior-block solve of a vector ``rhs`` of n - 1 rows, in float64."""
+        """Solve of a vector ``rhs`` of n - 1 rows with the band's interior block, in float64."""
         lapack = _lapack()  # loaded at the first solve, without scipy.linalg
         if self._lu is None:
             ab = np.zeros((7, self.grid.n - 1), order="F")
@@ -305,18 +291,44 @@ def _split_band(op: OperatorMatrix) -> np.ndarray:
 
     Row 2 (i - 1) is L u - v = 0 and row 2 (i - 1) + 1 is L v + p v + c u = f
     at interior node i, with u_i and v_i in the columns of the same numbers;
-    rows 0 and 1 are left free for the fill-in of the factorization.
+    rows 0 and 1 are left free for the fill-in of the factorization.  M is
+    that of the unit interval: spacing 1/n, p L**2 and c L**4 for an interval
+    of length L, so its operator is L**4 A (see :func:`_split_scale`).  On
+    [0, 1] these are ``op``'s own entries.  A ValueError reports p L**2 or
+    c L**4 beyond float64.
     """
-    inv2 = op.grid.spacing**-2
+    interval = op.grid.interval
+    l2 = interval.length * interval.length
+    p, c = op.p, np.asarray(op.c.values, dtype=np.float64)[1:-1]
+    if l2 != 1.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, c = p * l2, c * l2 * l2
+        _finite(
+            "the discrete operator", op.p, interval, lambda: float(np.max(np.abs(np.append(c, p))))
+        )
+    inv2 = (1.0 / op.grid.n) ** -2
     size = 2 * (op.grid.n - 1)
     ab = np.zeros((7, size), order="F")
     ab[2, 2:] = -inv2                   # u_{i+1} in u-rows, v_{i+1} in v-rows
     ab[3, 1::2] = -1.0                  # v_i in the u-row of node i
     ab[4, 0::2] = 2.0 * inv2
-    ab[4, 1::2] = 2.0 * inv2 + op.p
-    ab[5, 0::2] = np.asarray(op.c.values, dtype=np.float64)[1:-1]   # c_i u_i in v-rows
+    ab[4, 1::2] = 2.0 * inv2 + p
+    ab[5, 0::2] = c                     # c_i u_i in v-rows
     ab[6, :-2] = -inv2                  # u_{i-1} in u-rows, v_{i-1} in v-rows
     return ab
+
+
+def _split_scale(op: OperatorMatrix, x):
+    """``x`` times L**2, in place for an array; on [0, 1] ``x`` is left as it is.
+
+    The split M has the operator L**4 A, so A^-1 b = L**2 (L**4 A)^-1 (L**2 b):
+    loads and results each take one factor L**2, which keeps both in
+    float64 wherever the result is.
+    """
+    l2 = op.grid.interval.length * op.grid.interval.length
+    if l2 != 1.0:
+        x *= l2
+    return x
 
 
 def _lu_column_sums(lu: np.ndarray) -> np.ndarray:
@@ -384,6 +396,34 @@ def _equilibrated_split_error(op: OperatorMatrix) -> float:
     scale = 1.0 / np.max(m_abs, axis=0)
     norm = float(np.max(np.sum(m_abs, axis=0) * scale))
     return _split_error(_lapack(), lu, piv, norm, scale)
+
+
+def _max_abs(a: np.ndarray) -> float:
+    # max|a| without an |a| temporary
+    return max(float(np.max(a)), -float(np.min(a)))
+
+
+def _split_solve_error(op: OperatorMatrix, top: float, scale: float, subject: str) -> float:
+    """The forward-error bound of split solves, relative to the largest entry of their result.
+
+    ``top`` is max|y| over the rows the solves returned and ``scale`` the
+    largest entry read from them, both before :func:`_split_scale`.  Each
+    row is within ``op._split_error_bound()`` max|y| of exact, so the bound
+    is that times ``top`` / ``scale``, or, when smaller and the first exceeds
+    ``_KERNEL_RTOL``, the same on column-equilibrated factors.  Raises
+    :class:`~beamsign.errors.ResonanceError`, naming ``subject``, when the
+    bound exceeds ``_KERNEL_RTOL`` or y is not finite.
+    """
+    error = op._split_error_bound()
+    valid = np.isfinite(error) and np.isfinite(top) and scale > 0.0
+    bound = error * top / scale if valid else np.inf
+    if valid and not bound <= _KERNEL_RTOL:
+        bound = min(bound, _equilibrated_split_error(op) * top / scale)
+    if not bound <= _KERNEL_RTOL:
+        raise _resonance_error(
+            op, f"the {subject}'s forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g}; "
+        )
+    return bound
 
 
 def _band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -463,51 +503,6 @@ def _mode_error(
 # solves
 
 
-def _solve_refined(
-    op: OperatorMatrix, rhs, bound: float, start=None
-) -> tuple[np.ndarray, float]:
-    """Solve A x = rhs on the cached factors, refining in extended precision.
-
-    ``rhs`` (a vector or a matrix of columns) must vanish in rows 0 and n,
-    so the end components of x are exactly zero.  ``start``, an approximate
-    solution of the same shape, replaces the first float64 solve (its rows
-    0 and n are ignored); the correction leaves no trace of it beyond
-    rounding, so a caller that needs ``start`` to be right checks it against
-    the result.  One correction always runs; more run, up to
-    ``_REFINE_STEPS`` in all, while the largest interior residual exceeds
-    ``bound``.  Returns x in extended precision and that residual (NaN or inf
-    when the solve broke down).
-    """
-    b = np.asarray(rhs, dtype=np.float64)
-    if np.any(b[0]) or np.any(b[-1]):
-        raise ValueError("right-hand side must vanish in the boundary rows")
-    band_ld = op.band_extended()[:, 1:-1]
-    b_ld = b[1:-1].astype(np.longdouble)
-
-    def residual(x_ld):
-        r = _band_matvec(band_ld, x_ld)
-        r -= b_ld
-        return r.astype(np.float64)
-
-    first = op._solve_interior(b[1:-1]) if start is None else np.asarray(start)[1:-1]
-    if not np.all(np.isfinite(first)):
-        raise _resonance_error(op)
-    x = np.zeros(b.shape, dtype=np.longdouble)
-    x_ld = x[1:-1]  # a view: the corrections below land in x
-    x_ld[...] = first
-    r = residual(x_ld)
-    res = float(np.max(np.abs(r)))
-    for _ in range(_REFINE_STEPS):
-        if not np.isfinite(res):
-            break
-        x_ld -= op._solve_interior(r)
-        r = residual(x_ld)
-        res = float(np.max(np.abs(r)))
-        if res <= bound:
-            break
-    return x, res
-
-
 def _rhs_vector(op: OperatorMatrix, problem: ProblemSpec) -> np.ndarray:
     b = np.array(problem.h.values, dtype=np.float64)
     b[0] = 0.0
@@ -518,40 +513,52 @@ def _rhs_vector(op: OperatorMatrix, problem: ProblemSpec) -> np.ndarray:
     return b
 
 
-def _interior_residual(op: OperatorMatrix, x_ld: np.ndarray, rhs) -> float:
-    r = _band_matvec(op.band_extended(), np.asarray(x_ld, dtype=np.longdouble))
-    r -= np.asarray(rhs, dtype=np.longdouble)
-    return float(np.max(np.abs(r[1:-1])))
+def _solve_vector(op: OperatorMatrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """A^-1 rhs on nodes 0 .. n by one transposed split solve, and its forward-error bound.
 
-
-def _residual_bound(problem: ProblemSpec) -> float:
-    return 1e-8 * (sup_norm(problem.h) + abs(problem.d1) + abs(problem.d2) + 1.0)
+    Rows 0 and n of ``rhs`` are not read, and those of u are zero.  M^T y =
+    (rhs, 0), with rhs in the u-rows, leaves A^-1 rhs in the v-rows.  The
+    bound, on max|u - u_exact| / max|u|, and its ResonanceError are those
+    of :func:`_split_solve_error`.  A zero ``rhs`` returns u = 0, bound 0.
+    """
+    u = np.zeros(op.grid.n + 1)
+    inner = np.asarray(rhs, dtype=np.float64)[1:-1]
+    if not np.any(inner):
+        return u, 0.0
+    loads = np.zeros(2 * (op.grid.n - 1))
+    loads[0::2] = inner
+    y = op._solve_split_transposed(_split_scale(op, loads))
+    u[1:-1] = y[1::2]
+    bound = _split_solve_error(op, _max_abs(y), _max_abs(u), "solve")
+    return _split_scale(op, u), bound
 
 
 @dataclass(eq=False)
 class SolutionField:
-    """A solve result: samples, achieved interior residual, and provenance."""
+    """A solve result: samples, forward-error bound and provenance.
+
+    ``forward_error_bound`` is an estimated bound on max|u - u_exact| /
+    max|u| against the discrete operator L**2 + p L + C itself, as
+    ``GreensMatrix.forward_error_bound`` is for kernels.
+    """
 
     u: ScalarField
-    residual_norm: float
+    forward_error_bound: float
     method: str  # direct | superposition | fixed_point
     iterations: int
 
 
 def direct_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionField:
-    """Solve the boundary value problem by one banded LU factorization.
+    """Solve the boundary value problem by one transposed solve on the split factors.
 
     Raises :class:`~beamsign.errors.ResonanceError`, naming the nearest
-    -lambda_k, when the matrix is singular or the refined residual still
-    exceeds 1e-8 * (sup|h| + |d1| + |d2| + 1).
+    -lambda_k, when the solve's forward-error bound exceeds 1e-3 or the
+    solve breaks down.
     """
     grid = _resolve_grid(problem.grid, grid)
     op = assemble(problem.p, problem.c, grid)
-    bound = _residual_bound(problem)
-    x, res = _solve_refined(op, _rhs_vector(op, problem), bound)
-    if not np.isfinite(res) or res > bound:
-        raise _resonance_error(op)
-    return SolutionField(ScalarField(grid, x), res, "direct", 0)
+    u, bound = _solve_vector(op, _rhs_vector(op, problem))
+    return SolutionField(ScalarField(grid, u), bound, "direct", 0)
 
 
 def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionField:
@@ -567,54 +574,39 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     So the sum is A^-1 rhs, with A the operator and rhs that right-hand
     side, and it is taken in O(n) from the kernel that
     :func:`~beamsign.greens.greens_discrete` returns, with no n x n work.
-    When c is constant on the interior nodes, G is its sine-transform
-    kernel, and the sum is G w' = (2 / n) S diag(1 / (beta_k + c)) S rhs,
-    S the DST-I: two FFTs of length 2n and no solve.  The test for that
-    path, and the ResonanceError that names the discrete mode when a
-    denominator beta_k + c lies within its rounding, are
-    :func:`_constant_modes`, shared with the kernel.  Otherwise G comes
-    from the split matrix M, and the sum is one float64 solve M^T y =
-    (rhs, 0), with rhs in the u-rows, which leaves A^-1 rhs in the v-rows.
-    It never reads the factors' forward-error bound.
-
-    That sum is then refined as a solution of the rounded band, so extended
-    precision touches only the returned vector.  Both sums need it: they
-    solve the exact operator L**2 + p L + C, while the residual bound is
-    taken on the rounded band, which lies about 1e-8 away at n = 250 and
-    2.5e-6 at n = 1000.  Refinement would correct any start, so the sum
-    must also agree with the refined u to ``_SUPERPOSITION_RTOL`` * sup|u|:
-    that check is what makes G answer for the result.  Raises
-    :class:`~beamsign.errors.ResonanceError` when the check fails or under
-    the same residual bound as :func:`direct_solve`.
+    For variable c, G comes from the split matrix M, and the sum is the
+    split solve of :func:`direct_solve` itself.  When c is constant on the
+    interior nodes, G is its sine-transform kernel, and the sum is
+    G w' = (2 / n) S diag(1 / (beta_k + c)) S rhs, S the DST-I: two FFTs of
+    length 2n.  The test for that path, and the ResonanceError that names
+    the discrete mode when a denominator beta_k + c lies within its
+    rounding, are :func:`_constant_modes`, shared with the kernel, and come
+    first.  That sum must agree with the split solve to
+    ``_SUPERPOSITION_RTOL`` * sup|u|, or ResonanceError is raised: the check
+    makes G answer for the result.  The sum is returned, with the gap plus
+    the split solve's error as its bound.  Raises ResonanceError also under
+    the bound of :func:`direct_solve`.
     """
     grid = _resolve_grid(problem.grid, grid)
     op = assemble(problem.p, problem.c, grid)
     rhs = _rhs_vector(op, problem)
-    u0 = np.zeros(grid.n + 1)
-    inner = u0[1:-1]
     modes = _constant_modes(problem.p, problem.c, grid)
+    u, bound = _solve_vector(op, rhs)
     if modes is not None:
+        split = u
         # G (h w') = A^-1 rhs = (2 / n) S diag(1 / d_k) S rhs, S the DST-I
-        inner[...] = _dst1(_dst1(rhs[1:-1]) / modes[0]) * (2.0 / grid.n)
-    else:
-        # G w' = A^-1 rhs: M^T y = (rhs, 0), with rhs in the u-rows, has A^-1 rhs in its v-rows
-        loads = np.zeros(2 * (grid.n - 1))
-        loads[0::2] = rhs[1:-1]
-        inner[...] = op._solve_split_transposed(loads)[1::2]
-    bound = _residual_bound(problem)
-    u, res = _solve_refined(op, rhs, bound, start=u0)
-    if not np.isfinite(res) or res > bound:
-        raise _resonance_error(op)
-    uf = np.asarray(u, dtype=np.float64)
-    gap = float(np.max(np.abs(u0 - uf)))
-    scale = float(np.max(np.abs(uf)))
-    if not gap <= _SUPERPOSITION_RTOL * scale:
-        raise _resonance_error(
-            op,
-            f"the kernel sum G (h w) + d1 y_a + d2 y_b misses the refined solution by "
-            f"{gap:.3e} > {_SUPERPOSITION_RTOL:g} * sup|u| = {_SUPERPOSITION_RTOL * scale:.3e}; ",
-        )
-    return SolutionField(ScalarField(grid, u), res, "superposition", 0)
+        u = np.zeros(grid.n + 1)
+        u[1:-1] = _dst1(_dst1(rhs[1:-1]) / modes[0]) * (2.0 / grid.n)
+        gap = _max_abs(u - split)
+        scale = _max_abs(u)
+        if not gap <= _SUPERPOSITION_RTOL * scale:
+            raise _resonance_error(
+                op,
+                f"the kernel sum G (h w) + d1 y_a + d2 y_b misses the split solve by "
+                f"{gap:.3e} > {_SUPERPOSITION_RTOL:g} * sup|u| = {_SUPERPOSITION_RTOL * scale:.3e}; ",
+            )
+        bound = (gap + bound * _max_abs(split)) / scale if scale > 0.0 else 0.0
+    return SolutionField(ScalarField(grid, u), bound, "superposition", 0)
 
 
 @dataclass(eq=False)
@@ -639,12 +631,20 @@ def fixed_point_solve(
 
     In ``positive`` mode the frozen coefficient is d = min{c, -lambda2}, in
     ``negative`` mode d = max{c, -lambda3}, which keeps every iterate on the
-    sign-definite side while the correction term c - d contracts.  The
-    iteration stops once the sup-norm step is below ``tol`` and the residual
-    against the true operator meets the bound of :func:`direct_solve`, and
-    reports the largest observed step ratio as the contraction ratio.  It
-    raises :class:`~beamsign.errors.ConvergenceError`, with the residual and
-    the bound in the message, when ``max_iter`` steps do not get there.
+    sign-definite side while the correction term c - d contracts.  Each step
+    is one split solve with T[p, d] (see :func:`direct_solve`), which keeps
+    c - d to one rounding, so the iterates converge to the solution of the
+    discrete operator with c itself.
+
+    The iteration stops once the sup-norm step is below ``tol`` and the
+    forward-error bound of u_k is within 1e-3 of sup|u_k|.  That bound adds
+    the last solve's bound to the distance from u_k to the fixed point,
+    s_k q / (1 - q) for the step s_k and the contraction q, estimated by the
+    last step ratio; when d = c the one solve is the answer.  The largest
+    observed step ratio is reported as the contraction ratio.  It raises
+    :class:`~beamsign.errors.ConvergenceError`, with the bound in the
+    message when the steps met ``tol``, when ``max_iter`` steps do not get
+    there.
 
     Only homogeneous end moments are supported (d1 = d2 = 0).  By default the
     matching amplified-load hypotheses are verified first and a ValueError is
@@ -678,49 +678,50 @@ def fixed_point_solve(
     else:
         frozen = np.maximum(cv, -sd.lambda3)
     op = assemble(problem.p, ScalarField(grid, frozen), grid)
-    op_true = assemble(problem.p, problem.c, grid)
-    # c - d taken as the difference of the two assembled diagonals: these round
-    # c to about 1e-5 at n = 400, and with c - d itself the iterates would
-    # converge to the solution of a slightly different operator
-    correction = op_true.band[2] - op.band[2]
+    correction = cv - frozen
     hv = np.asarray(problem.h.values, dtype=np.float64)
-    rhs_true = _rhs_vector(op_true, problem)
-    static_rhs = not np.any(correction)
+    static_rhs = not np.any(correction[1:-1])
 
-    bound = _residual_bound(problem)
-    u = np.zeros(grid.n + 1, dtype=np.longdouble)
+    u = np.zeros(grid.n + 1)
     iterates: list[ScalarField] = []
     diffs: list[float] = []
-    res = None  # true-operator residual, taken once the steps have settled
     for _ in range(max_iter):
-        rhs = hv - correction * np.asarray(u, dtype=np.float64)
-        rhs[0] = 0.0
-        rhs[-1] = 0.0
-        x, _ = _solve_refined(op, rhs, bound)
-        step = float(np.max(np.abs(np.asarray(x - u, dtype=np.float64))))
+        x, bound = _solve_vector(op, hv - correction * u)
+        step = _max_abs(x - u)
         iterates.append(ScalarField(grid, x))
         diffs.append(step)
         u = x
-        settled = static_rhs or step < tol
-        res = _interior_residual(op_true, u, rhs_true) if settled else None
+        scale = _max_abs(u)
+        # how far u may lie from the fixed point: step q / (1 - q) with
+        # q = step / (the step before), which is step**2 / (before - step)
+        if static_rhs or step == 0.0:
+            tail = 0.0
+        elif len(diffs) > 1 and step < diffs[-2]:
+            tail = step * step / (diffs[-2] - step)
+        else:
+            tail = np.inf
+        error = bound * scale + tail
         # a static right-hand side would only repeat the same solve
-        if settled and (res <= bound or static_rhs):
+        settled = static_rhs or (step < tol and error <= _KERNEL_RTOL * scale)
+        if settled:
             break
     ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0]
     ratio = max(ratios) if ratios else 0.0
     last_ratio = ratios[-1] if ratios else None
-    if res is None:
+    if not settled:
+        if step < tol:
+            raise ConvergenceError(
+                f"fixed-point iteration stopped after {len(iterates)} steps with an error bound "
+                f"of {error:.3e}, above {_KERNEL_RTOL:g} * sup|u| = {_KERNEL_RTOL * scale:.3e}",
+                last_ratio=last_ratio,
+            )
         raise ConvergenceError(
             f"fixed-point iteration did not reach tol = {tol} within {max_iter} steps",
             last_ratio=last_ratio,
         )
-    if not res <= bound:
-        raise ConvergenceError(
-            f"fixed-point iteration stopped after {len(iterates)} steps with residual "
-            f"{res:.3e}, which exceeds the bound {bound:.3e}",
-            last_ratio=last_ratio,
-        )
-    sol = SolutionField(ScalarField(grid, u), res, "fixed_point", len(iterates))
+    sol = SolutionField(
+        ScalarField(grid, u), error / scale if scale > 0.0 else 0.0, "fixed_point", len(iterates)
+    )
     return FixedPointRun(solution=sol, iterates=iterates, diffs=diffs, contraction_ratio=ratio)
 
 

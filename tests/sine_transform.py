@@ -6,8 +6,9 @@ The DST-I diagonalises it: A = S diag(lambda_k) S * 2 / n with S[i, k] =
 sin(i k pi / n) and lambda_k = mu_k^2 + p mu_k + c, mu_k = (4 / h^2)
 sin^2(k pi / 2n).  The sums over k are DST-Is, taken as the FFT of the odd
 extension.  For variable c, :func:`mpmath_inverse` inverts
-L^2 + p L + diag(c) densely at 50 digits, and :func:`mpmath_band_solve`
-solves an assembled (rounded) band at 40 digits.
+L^2 + p L + diag(c) densely at 50 digits, :func:`mpmath_band_solve`
+solves a (2, 2) band at 40 digits, and :func:`mpmath_split_solve` solves
+L^2 + p L + diag(c) with it, in O(n), through the split form v = L u.
 """
 
 import numpy as np
@@ -122,3 +123,32 @@ def mpmath_band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         out = np.zeros(len(rhs))
         out[1 : m + 1] = [float(v) for v in x]
         return out
+
+
+def mpmath_split_solve(p: float, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs for A = L^2 + p L + diag(c) on [0, 1], at 40 digits, rounded once.
+
+    ``c`` and ``rhs`` hold nodes 0 .. n, and only their interior entries are
+    read; the result is on nodes 0 .. n with the ends zero.  The system is
+    written in the split form L u - v = 0, L v + p v + c u = rhs with the
+    unknowns interleaved as (u_1, v_1, u_2, v_2, ...), a (2, 2) band whose
+    float64 entries (n^2, 2 n^2, p, c and -1) are all exact, and solved by
+    :func:`mpmath_band_solve`.
+    """
+    n = len(rhs) - 1
+    size = 2 * (n - 1)
+    inv2 = (1.0 / n) ** -2  # 1 / spacing^2, as the spacing of [0, 1] is rounded
+    # M[r, s] at band[2 + r - s, s + 1]: rows and columns 1 .. size, as mpmath_band_solve reads them
+    band = np.zeros((5, size + 2))
+    band[0, 3 : size + 1] = -inv2  # u_{i+1} in u-rows, v_{i+1} in v-rows
+    band[1, 2 : size + 1 : 2] = -1.0  # -v_i in the u-row of node i
+    band[2, 1 : size + 1 : 2] = 2.0 * inv2
+    band[2, 2 : size + 1 : 2] = 2.0 * inv2 + p
+    band[3, 1 : size + 1 : 2] = np.asarray(c, dtype=np.float64)[1:n]  # c_i u_i in v-rows
+    band[4, 1 : size - 1] = -inv2  # u_{i-1} in u-rows, v_{i-1} in v-rows
+    b = np.zeros(size + 2)
+    b[2 : size + 1 : 2] = np.asarray(rhs, dtype=np.float64)[1:n]
+    y = mpmath_band_solve(band, b)
+    u = np.zeros(n + 1)
+    u[1:n] = y[1 : size + 1 : 2]
+    return u

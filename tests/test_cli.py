@@ -78,7 +78,7 @@ def test_solve_writes_deterministic_csv(tmp_path, capsys):
     assert text == out2.read_text()
     lines = text.splitlines()
     assert lines[0] == "t,u,du,d2u"
-    assert lines[-1].startswith("# residual_norm = ")
+    assert lines[-1].startswith("# forward_error_bound = ")
     assert "method = direct" in lines[-1]
     row = lines[201].split(",")
     assert float(row[0]) == 0.5

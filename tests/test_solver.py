@@ -22,7 +22,7 @@ from beamsign.solver import (
     rhs_norm_bound,
     smallest_eigenvalue,
 )
-from sine_transform import mpmath_band_solve, sine_transform_solve
+from sine_transform import mpmath_split_solve, sine_transform_solve
 
 UNIT = Interval(0.0, 1.0)
 
@@ -36,6 +36,11 @@ def unit_problem(n, c_value, h_value=1.0, p=0.0, d1=0.0, d2=0.0):
 
 def quartic(t):
     return (t**4 - 2.0 * t**3 + t) / 24.0
+
+
+def relative_error(sol, ref) -> float:
+    # max|u - ref| / max|ref| of a solve's samples
+    return float(np.max(np.abs(np.asarray(sol.u.values) - ref)) / np.max(np.abs(ref)))
 
 
 def test_assemble_acts_like_the_operator_on_eigenfunctions():
@@ -75,7 +80,11 @@ def test_direct_solve_quartic_oracle():
     assert abs(float(sol.u.values[200]) - 5.0 / 384.0) < 1e-7
     assert sol.method == "direct"
     assert sol.iterations == 0
-    assert sol.residual_norm <= 1e-8 * (1.0 + 1.0)
+    # the error against the exact discrete solution stays within the bound, and both are small
+    ref = sine_transform_solve(0.0, 0.0, 400, problem.grid.spacing, problem.h.values)
+    error = relative_error(sol, ref)
+    assert error <= 1e-12
+    assert error <= sol.forward_error_bound <= 1e-8
 
 
 def test_direct_solve_unit_moment_matches_boundary_response():
@@ -103,11 +112,42 @@ def test_direct_solve_convergence_order():
 
 
 def test_direct_solve_resonance_is_reported():
+    # on the discrete eigenvalue -beta_1 the split solve's bound reads 1.4e6
+    from beamsign.spectrum import _discrete_beta
+
+    _, beta = _discrete_beta(0.0, Grid(UNIT, 200))
     with pytest.raises(ResonanceError) as info:
-        direct_solve(unit_problem(200, -np.pi**4))
+        direct_solve(unit_problem(200, -beta[0]))
     assert info.value.index == 1
     assert abs(info.value.nearest_eigenvalue + np.pi**4) < 1e-6
     assert "lambda_1" in str(info.value)
+    assert "the solve's forward-error bound" in str(info.value)
+    # the continuous eigenvalue -pi^4 lies 4e-3 from the discrete one, and the
+    # solve there is resolved, with a bound of about 1.6e-4
+    sol = direct_solve(unit_problem(200, -np.pi**4))
+    assert 1e-5 < sol.forward_error_bound < 1e-3
+
+
+@pytest.mark.parametrize("length", [1e5, 1e20])
+def test_split_solves_on_long_intervals(length):
+    # the split system is built on the unit interval, so its entries and its
+    # bound do not follow 1/spacing**2 down to 1e-36; built on the interval
+    # itself, the kernel's bound read 3.0e-2 on [0, 1e5] and 3.0e28 on
+    # [0, 1e20] and raised.  c = 1e-110 t varies, so both take the split
+    # path, and the reference is the sine transform with c = 0, from which
+    # c moves the solution by less than 1e-30
+    interval = Interval(0.0, length)
+    grid = Grid(interval, 200)
+    c = ScalarField(grid, 1e-110 * grid.nodes)
+    hv = 1.0 + 0.5 * np.sin(np.pi * grid.nodes / length)
+    ref = sine_transform_solve(0.0, 0.0, 200, grid.spacing, hv)
+    scale = np.max(np.abs(ref))
+    sol = direct_solve(ProblemSpec(interval, 0.0, c, ScalarField(grid, hv)))
+    assert np.max(np.abs(np.asarray(sol.u.values) - ref)) <= 1e-8 * scale
+    assert sol.forward_error_bound <= 1e-8
+    G = greens_discrete(0.0, c, grid)
+    assert G.forward_error_bound <= 1e-8
+    assert np.max(np.abs(np.asarray(G.values) @ (hv * grid.spacing) - ref)) <= 1e-8 * scale
 
 
 def test_grid_argument_must_match():
@@ -128,8 +168,11 @@ def test_superposition_oracle_and_agreement():
 
 
 def test_methods_agree_on_random_problems():
+    from beamsign import solver
+
     rng = np.random.default_rng(9)
     grid = Grid(UNIT, 200)
+    solved = []
     for _ in range(5):
         p = float(rng.uniform(0.0, 10.0))
         c = ScalarField(grid, rng.uniform(-80.0, 80.0) + 10.0 * np.sin(np.pi * grid.nodes))
@@ -141,9 +184,15 @@ def test_methods_agree_on_random_problems():
         s = superposition_solve(problem)
         gap = np.max(np.abs(np.asarray(d.u.values - s.u.values, dtype=np.float64)))
         assert gap < 1e-8 * (1.0 + sup_norm(d.u))
-        bound = 1e-8 * (sup_norm(problem.h) + abs(problem.d1) + abs(problem.d2) + 1.0)
-        assert d.residual_norm <= bound
-        assert s.residual_norm <= bound
+        solved.append((problem, d, s))
+    # each is within its bound of the operator's solution, solved at 40 digits
+    pytest.importorskip("mpmath")
+    for problem, d, s in solved:
+        p, c = problem.p, problem.c
+        ref = mpmath_split_solve(p, c.values, solver._rhs_vector(assemble(p, c), problem))
+        for sol in (d, s):
+            error = relative_error(sol, ref)
+            assert error <= min(sol.forward_error_bound, 1e-10)
 
 
 def test_fixed_point_static_case_converges_in_one_step():
@@ -283,7 +332,7 @@ def test_direct_solve_large_n_meets_the_unchanged_bound():
     c = ScalarField(grid, expr(grid.nodes))
     problem = ProblemSpec(interval, 1.0, c, ScalarField.constant(grid, 4.89435))
     sol = direct_solve(problem)
-    assert sol.residual_norm <= 1e-8 * (4.89435 + 1.0)
+    assert sol.forward_error_bound <= 1e-5  # 4.5e-7 on x86_64
     assert sign_certificate(sol).verdict == "strongly_positive"
 
 
@@ -343,20 +392,31 @@ def test_each_operator_is_factored_once(monkeypatch):
     calls.clear()
     direct_solve(unit_problem(200, 0.0))
     assert len(calls) == 1
-    # the split kernel: one factorization, of the split system, and nothing in
-    # extended precision, at n = 200 and at n = 400 alike
+    # the split kernel and every vector solve: one factorization, of the split
+    # system, and nothing in extended precision, at n = 200 and at n = 400 alike
     from beamsign import greens, solver
 
     def no_extended(self):
-        raise AssertionError("extended-precision work in the kernel")
+        raise AssertionError("extended-precision work in a split solve")
 
     for n in (200, 400):
-        calls.clear()
         grid = Grid(UNIT, n)
-        with monkeypatch.context() as patch:
-            patch.setattr(solver.OperatorMatrix, "band_extended", no_extended)
-            G = greens._split_kernel(assemble(0.0, ScalarField.constant(grid, 0.0), grid))
-        assert calls == [2 * (n - 1)]
+        c = ScalarField(grid, -60.0 + 40.0 * np.cos(2.0 * grid.nodes))
+        problem = ProblemSpec(UNIT, 5.0, c, ScalarField.constant(grid, 1.0))
+        solves = [
+            lambda: greens._split_kernel(assemble(0.0, ScalarField.constant(grid, 0.0), grid)),
+            lambda: direct_solve(problem),
+            lambda: superposition_solve(unit_problem(n, 40.0, d1=-1.0)),
+            lambda: fixed_point_solve(problem, mode="negative", check_hypotheses=False),
+            lambda: y_boundary(5.0, c, grid, "b"),
+        ]
+        for solve in solves:
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(solver.OperatorMatrix, "band_extended", no_extended)
+                solve()
+            assert calls == [2 * (n - 1)]
+        G = greens._split_kernel(assemble(0.0, ScalarField.constant(grid, 0.0), grid))
         assert G.values.dtype == np.float64
         # greens_discrete takes the closed form for constant c: no factorization at all
         calls.clear()
@@ -390,79 +450,73 @@ def test_lu_column_sums_match_the_dense_factors():
     assert longest > 3
 
 
-def _independent_residual(problem: ProblemSpec, u) -> tuple[float, float]:
-    # the hinged stencil written out row by row, ghost nodes eliminated by hand;
-    # returns the largest interior residual and the size of one extended-precision
-    # rounding of the largest row sum, which bounds how far two summation orders differ
-    n = problem.grid.n
-    dx = problem.grid.spacing
-    inv4, inv2 = dx**-4, dx**-2
-    cv = np.asarray(problem.c.values, dtype=np.float64)
-    A = np.zeros((n + 1, n + 1))
-    for i in range(1, n):
-        for j, coef in ((i - 2, inv4), (i - 1, -4.0 * inv4 - problem.p * inv2),
-                        (i + 1, -4.0 * inv4 - problem.p * inv2), (i + 2, inv4)):
-            if 0 <= j <= n:
-                A[i, j] = coef
-        A[i, i] = 6.0 * inv4 + 2.0 * problem.p * inv2 + cv[i]
-    A[1, 1] -= inv4  # ghost u_{-1} = -u_1 + dx^2 d1
-    A[n - 1, n - 1] -= inv4
-    b = np.array(problem.h.values, dtype=np.float64)
-    b[1] -= problem.d1 * inv2
-    b[n - 1] -= problem.d2 * inv2
-    ul = np.asarray(u, dtype=np.longdouble)
-    r = A[1:n].astype(np.longdouble) @ ul - b[1:n].astype(np.longdouble)
-    floor = float(np.finfo(np.longdouble).eps) * float(np.max(np.abs(A[1:n]) @ np.abs(ul)))
-    return float(np.max(np.abs(r))), floor
+def test_forward_error_bound_covers_the_error_of_the_returned_solution():
+    # against the operator L^2 + p L + C itself, solved at 40 digits; the
+    # fixed-point iteration freezes d = max(c, -lambda3) and takes steps here
+    from beamsign import solver
 
-
-def test_residual_norm_is_the_residual_of_the_returned_solution():
     grid = Grid(UNIT, 200)
     c = ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes))
     h = ScalarField(grid, 1.0 + 0.5 * np.cos(3.0 * grid.nodes))
-    problem = ProblemSpec(UNIT, 2.0, c, h, d1=-0.5, d2=-1.5)
-    homogeneous = ProblemSpec(UNIT, 2.0, c, h)
-    sols = [
-        direct_solve(problem),
-        superposition_solve(problem),
-        fixed_point_solve(homogeneous, mode="negative", check_hypotheses=False).solution,
-    ]
+    problem = ProblemSpec(UNIT, 0.0, c, h, d1=-0.5, d2=-1.5)
+    homogeneous = ProblemSpec(UNIT, 0.0, c, h)
+    run = fixed_point_solve(homogeneous, mode="negative", check_hypotheses=False)
+    assert run.solution.iterations >= 3
+    sols = [direct_solve(problem), superposition_solve(problem), run.solution]
+    pytest.importorskip("mpmath")
     for prob, sol in zip((problem, problem, homogeneous), sols):
-        res, floor = _independent_residual(prob, sol.u.values)
-        assert floor < 1e-9  # far below the residual of u rounded to float64 (~1e-7)
-        assert abs(sol.residual_norm - res) <= floor
+        ref = mpmath_split_solve(0.0, c.values, solver._rhs_vector(assemble(0.0, c), prob))
+        error = relative_error(sol, ref)
+        assert error <= 1e-12
+        assert error <= sol.forward_error_bound <= 1e-6
 
 
 def test_superposition_meets_the_bound_at_large_n():
-    # at this size the rounding of the kernel sum G (h w) alone puts the residual
-    # past the bound; refining the sum against the operator brings it back below
+    # the sine-transform sum is returned, within its bound of the exact solution
     grid = Grid(UNIT, 600)
     c = ScalarField.constant(grid, -662.566)
     h = ScalarField(grid, 3.3351 * (1.0 + 0.5 * np.sin(np.pi * grid.nodes)))
     problem = ProblemSpec(UNIT, 50.0, c, h)
     sup = superposition_solve(problem)
-    assert sup.residual_norm <= 1e-8 * (sup_norm(h) + 1.0)
+    ref = sine_transform_solve(50.0, -662.566, 600, grid.spacing, h.values)
+    error = relative_error(sup, ref)
+    assert error <= 1e-12
+    assert error <= sup.forward_error_bound <= 1e-3
     d = direct_solve(problem)
     gap = np.max(np.abs(np.asarray(sup.u.values - d.u.values, dtype=np.float64)))
     assert gap < 1e-8 * sup_norm(d.u)
 
 
-def test_superposition_refines_only_vectors_in_extended_precision(monkeypatch):
+def test_vector_solves_take_nothing_from_the_band(monkeypatch):
+    # no vector solve multiplies by the rounded band or solves with it: each
+    # is one split solve, with no refinement
     from beamsign import solver
 
-    shapes = []
-    matvec = solver._band_matvec
+    used = []
 
-    def recording(band, u):
-        shapes.append(u.ndim)
-        return matvec(band, u)
+    def recording(name, function):
+        def wrapped(*args):
+            used.append(name)
+            return function(*args)
 
-    monkeypatch.setattr(solver, "_band_matvec", recording)
+        return wrapped
+
+    monkeypatch.setattr(solver, "_band_matvec", recording("matvec", solver._band_matvec))
+    solve = recording("solve", solver.OperatorMatrix._solve_interior)
+    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", solve)
     grid = Grid(UNIT, 200)
-    c = ScalarField(grid, 40.0 + 30.0 * np.sin(np.pi * grid.nodes))
-    problem = ProblemSpec(UNIT, 5.0, c, ScalarField.constant(grid, 1.0), d1=-0.5, d2=-1.5)
+    c = ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes))
+    problem = ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0), d1=-0.5, d2=-1.5)
+    homogeneous = ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0))
+    direct_solve(problem)
     superposition_solve(problem)
-    assert shapes and all(ndim == 1 for ndim in shapes)
+    superposition_solve(unit_problem(200, 40.0, d1=-0.5, d2=-1.5))
+    run = fixed_point_solve(homogeneous, mode="negative", check_hypotheses=False)
+    assert run.solution.iterations > 1
+    y_boundary(0.0, c, grid, "a")
+    assert used == []
+    smallest_eigenvalue(assemble(0.0, c))  # which still iterates on the band
+    assert "solve" in used
 
 
 def test_superposition_is_the_sum_of_kernel_and_moment_responses():
@@ -480,13 +534,13 @@ def test_superposition_is_the_sum_of_kernel_and_moment_responses():
     assert np.max(np.abs(u - expected)) <= 1e-8 * np.max(np.abs(expected))
 
 
-# corruptions of the loads that superposition_solve puts into the u-rows of
-# its one split solve: the load at interior node j weights kernel column j
-# (interior nodes numbered from 0)
+# corruptions of the loads that the constant-c sine-transform sum of
+# superposition_solve transforms first: the load at interior node j weights
+# kernel column j (interior nodes numbered from 0)
 
 
 def _drop_one_load_column(loads):
-    loads[2 * 100] = 0.0
+    loads[100] = 0.0
     return loads
 
 
@@ -502,17 +556,17 @@ def _misscale_load_columns(loads):
 
 def _shift_load_columns(loads):
     # each node takes the load of the one before it
-    loads[0::2] = np.roll(loads[0::2], 1)
-    return loads
+    return np.roll(loads, 1)
 
 
-def _loads_of(solve, change):
-    # wraps OperatorMatrix._solve_split_transposed so that change(loads) sees
-    # the right-hand side of every vector solve
-    def wrapped(self, rhs, start=0):
-        if rhs.ndim == 1:
-            rhs = change(rhs.copy())
-        return solve(self, rhs, start)
+def _loads_of(transform, change):
+    # wraps spectrum._dst1 so that change(loads) sees the loads of the sum,
+    # the first of its two transforms, and leaves the split solve alone
+    calls = []
+
+    def wrapped(x):
+        calls.append(1)
+        return transform(change(x.copy()) if len(calls) % 2 else x)
 
     return wrapped
 
@@ -522,18 +576,16 @@ def _loads_of(solve, change):
     [_drop_one_load_column, _misscale_load_columns, _shift_load_columns, _drop_the_first_load_column],
 )
 def test_superposition_rejects_a_wrong_kernel_column(monkeypatch, corrupt):
-    # refinement alone would turn any start into the solution; the kernel sum
-    # must still agree with it, so a wrong load, which sums a wrong kernel
-    # column, cannot go unnoticed
+    # the constant-c sum must agree with the split solve of the same
+    # right-hand side, so a wrong load, which sums a wrong kernel column,
+    # cannot go unnoticed
     from beamsign import solver
 
     grid = Grid(UNIT, 200)
-    c = ScalarField(grid, -60.0 + 40.0 * np.cos(2.0 * grid.nodes))
     h = ScalarField(grid, 1.0 + 0.5 * np.sin(3.0 * np.pi * grid.nodes))
-    problem = ProblemSpec(UNIT, 5.0, c, h, d1=-0.7, d2=-1.3)
+    problem = ProblemSpec(UNIT, 5.0, ScalarField.constant(grid, -60.0), h, d1=-0.7, d2=-1.3)
     superposition_solve(problem)
-    solve = solver.OperatorMatrix._solve_split_transposed
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_split_transposed", _loads_of(solve, corrupt))
+    monkeypatch.setattr(solver, "_dst1", _loads_of(solver._dst1, corrupt))
     with pytest.raises(ResonanceError, match="kernel sum"):
         superposition_solve(problem)
 
@@ -548,8 +600,8 @@ def test_superposition_rejects_a_wrong_kernel_column(monkeypatch, corrupt):
     ids=["drop_first_mode", "misscale_weights", "shift_modes"],
 )
 def test_superposition_rejects_a_wrong_modal_weight(monkeypatch, corrupt):
-    # constant c sums the kernel by the sine transform; refinement would still
-    # turn a wrong sum into the solution, so the kernel-sum check must catch it
+    # constant c sums the kernel by the sine transform; the check against the
+    # split solve must catch a wrong sum
     from beamsign import solver
 
     grid = Grid(UNIT, 200)
@@ -590,8 +642,9 @@ def test_superposition_resonance_names_the_discrete_mode():
 
 def test_superposition_makes_no_matrix_solve(monkeypatch):
     # no n x n work: for variable c the kernel sum is one vector solve on the
-    # split factors, which never estimates their condition, and constant c
-    # takes the sine transform, with no solve at all
+    # split factors, and constant c takes the sine transform, checked against
+    # that same vector solve; each takes one condition estimate, for its bound,
+    # and nothing touches the band
     from beamsign import solver
 
     split, interior, estimates = [], [], []
@@ -621,19 +674,19 @@ def test_superposition_makes_no_matrix_solve(monkeypatch):
             ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0), d1=-1.0, d2=-0.5),
             unit_problem(n, 40.0, d1=-1.0, d2=-0.5),
         )
-        for problem, split_calls in zip(problems, ([1], [])):
+        for problem in problems:
             split.clear()
-            interior.clear()
+            estimates.clear()
             superposition_solve(problem)
-            assert split == split_calls
-            assert interior and set(interior) == {1}  # the refinement's vector solves
-            assert estimates == []
+            assert split == [1]
+            assert estimates == [1]
+        assert interior == []
 
 
 def test_only_a_matrix_of_loads_takes_the_transposed_sweep():
     # no solve on the interior block takes the transposed factors: a vector
-    # takes the plain solve, which keeps direct_solve, y_boundary,
-    # fixed_point_solve and smallest_eigenvalue bit for bit as they were
+    # takes the plain solve, which keeps smallest_eigenvalue bit for bit as it
+    # was
     from beamsign import solver
 
     grid = Grid(UNIT, 200)
@@ -645,22 +698,13 @@ def test_only_a_matrix_of_loads_takes_the_transposed_sweep():
     assert np.array_equal(x, solver._lapack().dgbtrs(lu, 2, 2, rhs, piv)[0])
 
 
-def test_superposition_agrees_with_the_untransposed_kernel_solve(monkeypatch):
-    # the reference is the full kernel and both moment responses solved with
-    # the plain (untransposed) sweep, summed, and refined the same way.  For
-    # constant c the sum is the sine transform instead: it must match the
-    # independent one of the test helpers; the constant-c tests below check
-    # the refined result
+def test_superposition_agrees_with_the_untransposed_kernel_solve():
+    # for variable c the reference is the untransposed split solve M x =
+    # (0, rhs) on the same factors, which has A^-1 rhs in its u-rows, so it
+    # checks the transposed one's v-rows.  For constant c the sum is the sine
+    # transform instead: it must match the independent one of the test helpers
     from beamsign import solver
 
-    starts = []
-    refine = solver._solve_refined
-
-    def recording(op, rhs, bound, start=None):
-        starts.append(start.copy())
-        return refine(op, rhs, bound, start)
-
-    monkeypatch.setattr(solver, "_solve_refined", recording)
     cases = [
         (200, 5.0, lambda t: -60.0 + 40.0 * np.cos(2.0 * t)),
         (250, 0.0, lambda t: np.full(t.shape, -250.0)),
@@ -677,28 +721,19 @@ def test_superposition_agrees_with_the_untransposed_kernel_solve(monkeypatch):
         u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
 
         op = assemble(p, problem.c, grid)
-        bound = solver._residual_bound(problem)
+        rhs = solver._rhs_vector(op, problem)
         cv = problem.c.values
         if np.all(cv == cv[0]):
-            rhs = solver._rhs_vector(op, problem)
             expected = sine_transform_solve(p, cv[0], n, grid.spacing, rhs)
-            assert np.max(np.abs(starts[-1] - expected)) <= 1e-10 * np.max(np.abs(expected))
+            assert np.max(np.abs(u - expected)) <= 1e-12 * np.max(np.abs(expected))
             continue
-        op._solve_interior(np.zeros(n - 1))  # factors the block
-        lu, piv = op._lu
-        dx = grid.spacing
-        loads = np.zeros((n - 1, n + 1))  # unit loads at nodes 1 .. n-1, unit moments at a, b
-        np.fill_diagonal(loads, 1.0 / dx)
-        loads[0, n - 1] = -(dx**-2)
-        loads[-1, n] = -(dx**-2)
-        responses = solver._lapack().dgbtrs(lu, 2, 2, loads, piv)[0]
-        weights = np.concatenate((np.asarray(h.values)[1:-1] * dx, (problem.d1, problem.d2)))
-        u0 = np.zeros(n + 1)
-        u0[1:-1] = responses @ weights
-        ref, res = refine(op, solver._rhs_vector(op, problem), bound, start=u0)
-        assert res <= bound
-        ref = np.asarray(ref, dtype=np.float64)
-        assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+        lu, piv = op._split_factors()[:2]
+        b = np.zeros(2 * (n - 1))
+        b[1::2] = rhs[1:-1]
+        x = solver._lapack().dgbtrs(lu, 2, 2, b, piv)[0]
+        expected = np.zeros(n + 1)
+        expected[1:-1] = x[0::2]
+        assert np.max(np.abs(u - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 
 def _constant_c_problem(n, p, c, d1=-0.7, d2=-1.3):
@@ -709,100 +744,69 @@ def _constant_c_problem(n, p, c, d1=-0.7, d2=-1.3):
 
 @pytest.mark.parametrize("n, p, c", [(250, 0.0, -250.0), (600, 2.0, -80.0)])
 def test_constant_c_superposition_matches_the_band_solved_in_mpmath(n, p, c):
-    # the residual contract is on the assembled band, so its own solution,
-    # eliminated at 40 digits, is the answer; superposition and direct_solve
-    # both miss it by 4.5e-13 at n = 250 and 7e-11 at n = 600
+    # the band is the split system of L^2 + p L + c I, solved at 40 digits, so
+    # the reference is the operator's own solution; superposition and
+    # direct_solve meet it to 2.0e-15 and 7.5e-14 of sup|u| at n = 250 and to
+    # 4.5e-15 and 3.2e-13 at n = 600
     pytest.importorskip("mpmath")
     problem = _constant_c_problem(n, p, c)
     op = assemble(p, problem.c, problem.c.grid)
     from beamsign import solver
 
-    ref = mpmath_band_solve(op.band, solver._rhs_vector(op, problem))
-    u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
-    assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+    ref = mpmath_split_solve(p, problem.c.values, solver._rhs_vector(op, problem))
+    for solve in (superposition_solve, direct_solve):
+        u = np.asarray(solve(problem).u.values, dtype=np.float64)
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize(
-    "n, p, c",
-    [
-        (250, 0.0, -250.0),
-        pytest.param(
-            600,
-            2.0,
-            -80.0,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the refinement stops with a residual at the rounding of |A||x|, so sums "
-                "7e-15 apart end 1.37e-10 apart (x86_64); each is 7e-11 from the band's solution",
-            ),
-        ),
-    ],
-)
-def test_constant_c_superposition_agrees_with_the_independent_sum_refined(n, p, c):
-    # the sine-transform sum of the test helpers, refined the same way
-    from beamsign import solver
-
-    problem = _constant_c_problem(n, p, c)
-    op = assemble(p, problem.c, problem.c.grid)
-    rhs = solver._rhs_vector(op, problem)
-    start = sine_transform_solve(p, c, n, problem.c.grid.spacing, rhs)
-    bound = solver._residual_bound(problem)
-    ref, res = solver._solve_refined(op, rhs, bound, start=start)
-    assert res <= bound
-    ref = np.asarray(ref, dtype=np.float64)
-    u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
-    assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+def test_constant_c_superposition_agrees_with_the_split_solve_at_large_n():
+    # both the sine-transform sum and the split solve are of the exact
+    # operator: at n = 1280, p = 50, c = -97 they agree to 4.7e-13 of sup|u|,
+    # and at n = 1000, p = 0, c = -80, where refinement against the rounded
+    # band used to miss its residual bound and raise, to 2.1e-12
+    for n, p, cv in ((1280, 50.0, -97.0), (1000, 0.0, -80.0)):
+        problem = _constant_c_problem(n, p, cv, d1=-0.5, d2=-0.25)
+        u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
+        ref = np.asarray(direct_solve(problem).u.values, dtype=np.float64)
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_constant_c_band_gap_stays_behind_the_residual_check():
-    # the sine-transform sum solves the exact operator, so for constant c the
-    # kernel-sum check also sees the distance to the rounded band.  Where the
-    # residual contract holds that gap stays inside the check: at n = 1280,
-    # p = 50, c = -97 it is 0.21 of _SUPERPOSITION_RTOL (residual at 0.90 of
-    # its bound), and the result agrees with direct_solve to 1.0e-10 (each is
-    # 5e-11 from the band's solution), well inside the benchmark's 1e-8.
-    # Where the gap exceeds the check, n = 1000, p = 0, c = -80 (1.4 of the
-    # tolerance), the residual misses its bound 10x and raises first; a
-    # refinement that met the bound there would make the kernel-sum check fire
-    problem = _constant_c_problem(1280, 50.0, -97.0, d1=-0.5, d2=-0.25)
-    u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
-    ref = np.asarray(direct_solve(problem).u.values, dtype=np.float64)
-    assert np.max(np.abs(u - ref)) <= 1e-8 * np.max(np.abs(ref))
-
-    problem = _constant_c_problem(1000, 0.0, -80.0, d1=-0.5, d2=-0.25)
-    with pytest.raises(ResonanceError) as info:
-        superposition_solve(problem)
-    assert "kernel sum" not in info.value.args[0]
-
-
-def _fixed_point_residual_problem():
-    # the assembled diagonal rounds c to about 1e-5 here; iterating with the
-    # unrounded c - d converged to u with a residual of 8.7e-8 against 2e-8
+def _fixed_point_problem():
+    # negative mode freezes d = max(c, -lambda3), lambda3 = 237.7, so c - d
+    # reaches -12.3 and the iteration takes steps
     grid = Grid(UNIT, 400)
     c = ScalarField(grid, -250.0 + 20.0 * np.sin(np.pi * grid.nodes))
     return ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0))
 
 
-def test_fixed_point_meets_the_residual_bound():
-    problem = _fixed_point_residual_problem()
+def test_fixed_point_meets_the_forward_error_bound():
+    # the iterates converge to the solution with c itself, solved at 40 digits,
+    # and the bound covers the distance left to it, also with a loose tol,
+    # which stops early with a bound that says so: 6.2e-6 against an error of 5.3e-6
+    from beamsign import solver
+
+    problem = _fixed_point_problem()
     run = fixed_point_solve(problem, mode="negative", tol=1e-10)
-    bound = 1e-8 * (sup_norm(problem.h) + 1.0)
-    assert run.solution.residual_norm <= bound
-    res, floor = _independent_residual(problem, run.solution.u.values)
-    assert abs(run.solution.residual_norm - res) <= floor
-    # a loose tol no longer stops the iteration before the residual is met
     loose = fixed_point_solve(problem, mode="negative", tol=1.0)
-    assert loose.solution.residual_norm <= bound
     assert loose.solution.iterations >= 2
+    assert run.solution.forward_error_bound <= 1e-6
+    assert loose.solution.forward_error_bound <= 1e-3
+    pytest.importorskip("mpmath")
+    c = problem.c
+    ref = mpmath_split_solve(0.0, c.values, solver._rhs_vector(assemble(0.0, c), problem))
+    for fixed_point in (run, loose):
+        assert relative_error(fixed_point.solution, ref) <= fixed_point.solution.forward_error_bound
+    assert relative_error(run.solution, ref) <= 1e-12
 
 
-def test_fixed_point_reports_a_missed_residual_bound():
-    problem = _fixed_point_residual_problem()
+def test_fixed_point_reports_a_missed_forward_error_bound():
+    # one step gives no contraction estimate, so no bound on the distance left
+    problem = _fixed_point_problem()
     with pytest.raises(ConvergenceError) as info:
         fixed_point_solve(problem, mode="negative", tol=1.0, max_iter=1)
     message = str(info.value)
-    assert "residual" in message
-    assert "bound 2.000e-08" in message
+    assert "error bound of inf" in message
+    assert "0.001 * sup|u| = 9.461e-06" in message
 
 
 def _eigenvalue_with_a_quotient_at_every_step(op, tol=1e-12, max_iter=500):
