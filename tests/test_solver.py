@@ -759,6 +759,43 @@ def test_constant_c_superposition_matches_the_band_solved_in_mpmath(n, p, c):
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _exact_operator_residual(p, c, n, rhs, u):
+    # rhs - (L^2 + p L + c I) u on nodes 0 .. n (ends zero), in long double
+    # through v = L u, with the 1 / h^2 that mpmath_split_solve takes
+    inv2 = np.longdouble((1.0 / n) ** -2)
+
+    def lap(w):
+        out = np.zeros_like(w)
+        out[1:-1] = (w[:-2] - 2 * w[1:-1] + w[2:]) * -inv2
+        return out
+
+    x = np.asarray(u, dtype=np.longdouble)
+    v = lap(x)
+    r = np.asarray(rhs, dtype=np.longdouble) - (lap(v) + np.longdouble(p) * v + np.longdouble(c) * x)
+    r[0] = r[-1] = 0
+    return r
+
+
+@pytest.mark.parametrize("n, p, c", [(250, 0.0, -250.0), (600, 2.0, -80.0)])
+def test_constant_c_superposition_agrees_with_the_independent_sum_refined(n, p, c):
+    # the sine-transform sum of the test helpers, refined by one step against
+    # the exact operator, its residual taken in long double: the step shrinks
+    # the residual, and superposition meets the refined sum
+    from beamsign import solver
+
+    problem = _constant_c_problem(n, p, c)
+    op = assemble(p, problem.c, problem.c.grid)
+    rhs = solver._rhs_vector(op, problem)
+    h = problem.c.grid.spacing
+    start = sine_transform_solve(p, c, n, h, rhs)
+    r0 = _exact_operator_residual(p, c, n, rhs, start)
+    ref = start + sine_transform_solve(p, c, n, h, r0.astype(np.float64))
+    r1 = _exact_operator_residual(p, c, n, rhs, ref)
+    assert np.max(np.abs(r1)) <= np.max(np.abs(r0))
+    u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
+    assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_constant_c_superposition_agrees_with_the_split_solve_at_large_n():
     # both the sine-transform sum and the split solve are of the exact
     # operator: at n = 1280, p = 50, c = -97 they agree to 4.7e-13 of sup|u|,
