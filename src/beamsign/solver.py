@@ -162,8 +162,8 @@ class OperatorMatrix:
     stencils encoding the end moment conditions (their d1/d2 data lands on the
     right-hand side, not in the matrix).  The LU factors of the split system
     (see the module docstring) are computed at the first split solve and
-    kept for every later one, and so is their forward-error bound at its
-    first read; those of the band's interior block, which only
+    kept for every later one, and so are both their forward-error bounds at
+    their first read; those of the band's interior block, which only
     :func:`smallest_eigenvalue` solves with, at its first step.
     """
 
@@ -175,6 +175,7 @@ class OperatorMatrix:
     _lu: tuple | None = field(default=None, repr=False)
     _split: tuple | None = field(default=None, repr=False)
     _split_bound: float | None = field(default=None, repr=False)
+    _split_bound_equilibrated: float | None = field(default=None, repr=False)
 
     def band_extended(self) -> np.ndarray:
         if self._band_ld is None:
@@ -198,7 +199,10 @@ class OperatorMatrix:
         # (lu, piv, ||M||_1, info) of the split matrix M, factored at the first call
         if self._split is None:
             ab = _split_band(self)
-            norm = float(np.max(np.sum(np.abs(ab[2:]), axis=0)))  # max column sum of |M|
+            # max column sum of |M|, inf or nan when M left float64; row by row,
+            # as an axis-0 sum over ab's few rows takes twice as long
+            sums = sum(np.abs(ab[2:]))
+            norm = float(_finite("the discrete operator", self.p, self.grid.interval, sums.max))
             lu, piv, info = _lapack().dgbtrf(ab, 2, 2, overwrite_ab=1)
             self._split = (lu, piv, norm, info)
         return self._split
@@ -294,18 +298,14 @@ def _split_band(op: OperatorMatrix) -> np.ndarray:
     rows 0 and 1 are left free for the fill-in of the factorization.  M is
     that of the unit interval: spacing 1/n, p L**2 and c L**4 for an interval
     of length L, so its operator is L**4 A (see :func:`_split_scale`).  On
-    [0, 1] these are ``op``'s own entries.  A ValueError reports p L**2 or
-    c L**4 beyond float64.
+    [0, 1] these are ``op``'s own entries.  A p L**2 or c L**4 beyond
+    float64 is left in M, for :meth:`OperatorMatrix._split_factors` to report.
     """
-    interval = op.grid.interval
-    l2 = interval.length * interval.length
-    p, c = op.p, np.asarray(op.c.values, dtype=np.float64)[1:-1]
-    if l2 != 1.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            p, c = p * l2, c * l2 * l2
-        _finite(
-            "the discrete operator", op.p, interval, lambda: float(np.max(np.abs(np.append(c, p))))
-        )
+    length = op.grid.interval.length
+    l2 = length * length
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = op.p * l2
+        c = np.asarray(op.c.values, dtype=np.float64)[1:-1] * l2 * l2
     inv2 = (1.0 / op.grid.n) ** -2
     size = 2 * (op.grid.n - 1)
     ab = np.zeros((7, size), order="F")
@@ -319,15 +319,13 @@ def _split_band(op: OperatorMatrix) -> np.ndarray:
 
 
 def _split_scale(op: OperatorMatrix, x):
-    """``x`` times L**2, in place for an array; on [0, 1] ``x`` is left as it is.
+    """``x`` times L**2, in place for an array (on [0, 1] exactly ``x``).
 
     The split M has the operator L**4 A, so A^-1 b = L**2 (L**4 A)^-1 (L**2 b):
     loads and results each take one factor L**2, which keeps both in
     float64 wherever the result is.
     """
-    l2 = op.grid.interval.length * op.grid.interval.length
-    if l2 != 1.0:
-        x *= l2
+    x *= op.grid.interval.length * op.grid.interval.length
     return x
 
 
@@ -341,13 +339,13 @@ def _lu_column_sums(lu: np.ndarray) -> np.ndarray:
     another matter: a row that loses the pivot step after step collects a
     multiplier at each, hundreds of them when c < 0.)
     """
+    lu_abs = np.abs(lu)
     c = np.ones(lu.shape[1])
-    c[:-1] += np.abs(lu[5, :-1])  # the last steps have fewer rows below them
-    c[:-2] += np.abs(lu[6, :-2])
-    u_abs = np.abs(lu[:5])
-    sums = u_abs[4] * c
+    c[:-1] += lu_abs[5, :-1]  # the last steps have fewer rows below them
+    c[:-2] += lu_abs[6, :-2]
+    sums = lu_abs[4] * c
     for d in range(1, 5):  # U[j - d, j] at lu[4 - d, j]
-        sums[d:] += u_abs[4 - d, d:] * c[:-d]
+        sums[d:] += lu_abs[4 - d, d:] * c[:-d]
     return sums
 
 
@@ -388,19 +386,21 @@ def _equilibrated_split_error(op: OperatorMatrix) -> float:
     ||M^-1||_1 and can fall short of it, and often far below it when the
     entries of M differ in size by many orders, as with c = 1e8; it costs
     one more ``gbcon`` call, so callers take it only when the plain bound
-    misses.
+    misses, and it is kept on ``op`` at its first call, as the plain one is.
     ``op``'s split system must be factored.
     """
-    lu, piv = op._split[:2]
-    m_abs = np.abs(_split_band(op)[2:])  # |M| in its five diagonals, by column
-    scale = 1.0 / np.max(m_abs, axis=0)
-    norm = float(np.max(np.sum(m_abs, axis=0) * scale))
-    return _split_error(_lapack(), lu, piv, norm, scale)
+    if op._split_bound_equilibrated is None:
+        lu, piv = op._split[:2]
+        m_abs = np.abs(_split_band(op)[2:])  # |M| in its five diagonals, by column
+        scale = 1.0 / np.max(m_abs, axis=0)
+        norm = float(np.max(np.sum(m_abs, axis=0) * scale))
+        op._split_bound_equilibrated = _split_error(_lapack(), lu, piv, norm, scale)
+    return op._split_bound_equilibrated
 
 
 def _max_abs(a: np.ndarray) -> float:
-    # max|a| without an |a| temporary
-    return max(float(np.max(a)), -float(np.min(a)))
+    # max|a| without an |a| temporary; the methods skip np.max's dispatch
+    return max(float(a.max()), -float(a.min()))
 
 
 def _split_solve_error(op: OperatorMatrix, top: float, scale: float, subject: str) -> float:
@@ -637,14 +637,14 @@ def fixed_point_solve(
     discrete operator with c itself.
 
     The iteration stops once the sup-norm step is below ``tol`` and the
-    forward-error bound of u_k is within 1e-3 of sup|u_k|.  That bound adds
-    the last solve's bound to the distance from u_k to the fixed point,
-    s_k q / (1 - q) for the step s_k and the contraction q, estimated by the
-    last step ratio; when d = c the one solve is the answer.  The largest
-    observed step ratio is reported as the contraction ratio.  It raises
-    :class:`~beamsign.errors.ConvergenceError`, with the bound in the
+    forward-error bound of u_k is within 1e-3 of sup|u_k|; when d = c the
+    one solve is the answer.  Otherwise, as step ratios can sit below the
+    contraction, the bound comes from one more solve, with c itself, at the
+    first step below ``tol``: max|u_k - u_c| plus that solve's bound.  The
+    largest observed step ratio is reported as the contraction ratio.  It
+    raises :class:`~beamsign.errors.ConvergenceError`, with the bound in the
     message when the steps met ``tol``, when ``max_iter`` steps do not get
-    there.
+    there, and ResonanceError where :func:`direct_solve` would with c or d.
 
     Only homogeneous end moments are supported (d1 = d2 = 0).  By default the
     matching amplified-load hypotheses are verified first and a ValueError is
@@ -685,6 +685,8 @@ def fixed_point_solve(
     u = np.zeros(grid.n + 1)
     iterates: list[ScalarField] = []
     diffs: list[float] = []
+    reference = None  # (u_c, its bound), solved at the first step below tol
+    settled = False
     for _ in range(max_iter):
         x, bound = _solve_vector(op, hv - correction * u)
         step = _max_abs(x - u)
@@ -692,19 +694,19 @@ def fixed_point_solve(
         diffs.append(step)
         u = x
         scale = _max_abs(u)
-        # how far u may lie from the fixed point: step q / (1 - q) with
-        # q = step / (the step before), which is step**2 / (before - step)
-        if static_rhs or step == 0.0:
-            tail = 0.0
-        elif len(diffs) > 1 and step < diffs[-2]:
-            tail = step * step / (diffs[-2] - step)
-        else:
-            tail = np.inf
-        error = bound * scale + tail
-        # a static right-hand side would only repeat the same solve
-        settled = static_rhs or (step < tol and error <= _KERNEL_RTOL * scale)
-        if settled:
+        if static_rhs:
+            # a static right-hand side would only repeat the same solve
+            error = bound * scale
+            settled = True
             break
+        if step < tol:
+            if reference is None:
+                reference = _solve_vector(assemble(problem.p, problem.c, grid), hv)
+            u_c, bound_c = reference
+            error = _max_abs(u - u_c) + bound_c * _max_abs(u_c)
+            if error <= _KERNEL_RTOL * scale:
+                settled = True
+                break
     ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0]
     ratio = max(ratios) if ratios else 0.0
     last_ratio = ratios[-1] if ratios else None
