@@ -38,10 +38,9 @@ import numpy as np
 from .errors import NumericalError
 from .expressions import parse_expression
 from .fields import Grid, Interval, ProblemSpec, ScalarField, diff, sup_norm
-from .greens import greens_discrete
-from .principles import verdict
-from .solver import direct_solve, fixed_point_solve, sign_certificate, superposition_solve
-from .spectrum import SpectralData, delta1_alt
+
+# the numerical modules are imported by the commands that use them, so a
+# call loads only what it runs
 
 __all__ = ["ProblemFile", "load_problem_file", "dump_config", "run", "main"]
 
@@ -245,6 +244,9 @@ def _load(args) -> tuple[ProblemFile, ProblemSpec]:
 
 
 def _solve_by_method(pf: ProblemFile, problem: ProblemSpec):
+    from .principles import verdict
+    from .solver import direct_solve, fixed_point_solve, superposition_solve
+
     if pf.method == "direct":
         return direct_solve(problem)
     if pf.method == "superposition":
@@ -259,6 +261,8 @@ def _solve_by_method(pf: ProblemFile, problem: ProblemSpec):
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import SpectralData, delta1_alt
+
     interval = Interval(args.a, args.b)
     sd = SpectralData.compute(args.p, interval)
     print(f"p              = {_fmt(sd.p)}")
@@ -292,6 +296,8 @@ def _print_verdict(v) -> None:
 
 
 def cmd_check(args) -> int:
+    from .principles import verdict
+
     _, problem = _load(args)
     _print_verdict(verdict(problem))
     return 0
@@ -319,6 +325,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .principles import verdict
+    from .solver import direct_solve, sign_certificate
+
     _, problem = _load(args)
     v = verdict(problem)
     sol = direct_solve(problem)
@@ -358,6 +367,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_greens(args) -> int:
+    from .greens import greens_discrete
+
     grid = Grid(Interval(args.a, args.b), args.n)
     c = ScalarField.constant(grid, args.m)
     G = greens_discrete(args.p, c, grid)
@@ -373,6 +384,9 @@ def cmd_greens(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .principles import verdict
+    from .solver import direct_solve, sign_certificate
+
     pf = load_problem_file(args.file)
     if args.param != "c":
         raise ValueError(f"only --param c sweeps are supported, got {args.param!r}")

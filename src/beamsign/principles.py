@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,8 +99,44 @@ def _resolve_spectral(p: float, interval: Interval, sd: SpectralData | None) -> 
 # individual rule evaluations (shared by the public checks and verdict)
 
 
-def _eval_corollary(c: ScalarField, sd: SpectralData):
-    c_m, c_sup = extrema(c)
+class _Scan:
+    """The statistics of c and h that the rules read, each taken at most once per scan.
+
+    All but the extrema of c are taken at their first read, so a scan pays
+    only for what its rules reach; int (c - c_min), which can overflow, is
+    read only where the Thm5_2 window holds.
+    """
+
+    def __init__(self, c: ScalarField, h: ScalarField | None = None):
+        self.c, self.h = c, h
+        self.c_min, self.c_max = extrema(c)
+
+    @cached_property
+    def h_extrema(self) -> tuple[float, float]:
+        return extrema(self.h)
+
+    @cached_property
+    def signs(self) -> tuple[ScalarField, ScalarField]:
+        """(c_plus, c_minus)."""
+        return split_signs(self.c)
+
+    @cached_property
+    def int_minus(self) -> float:
+        return integrate(self.signs[1])
+
+    @cached_property
+    def min_plus(self) -> float:
+        return extrema(self.signs[0])[0]
+
+    @cached_property
+    def spread(self) -> float:
+        """int (c - c_min)."""
+        c = self.c
+        return integrate(ScalarField(c.grid, np.asarray(c.values, dtype=np.float64) - self.c_min))
+
+
+def _eval_corollary(s: _Scan, sd: SpectralData):
+    c_m, c_sup = s.c_min, s.c_max
     recs = [
         _rec("Cor2_1_pos", "c_min > -lambda1", c_m, ">", -sd.lambda1),
         _rec("Cor2_1_pos", "c_max <= -lambda2", c_sup, "<=", -sd.lambda2),
@@ -111,18 +148,16 @@ def _eval_corollary(c: ScalarField, sd: SpectralData):
     return pos, neg, recs
 
 
-def _eval_thm_positive(c: ScalarField, sd: SpectralData):
-    c_m, c_sup = extrema(c)
-    c_plus, c_minus = split_signs(c)
-    int_minus = integrate(c_minus)
+def _eval_thm_positive(s: _Scan, sd: SpectralData):
+    int_minus = s.int_minus
     recs = [
         _rec("Thm5_1_unique", "int c_minus < delta1", int_minus, "<", sd.delta1),
-        _rec("Thm5_1_pos", "c_max <= -lambda2", c_sup, "<=", -sd.lambda2),
+        _rec("Thm5_1_pos", "c_max <= -lambda2", s.c_max, "<=", -sd.lambda2),
     ]
     unique_ok = recs[0].satisfied
     r = None
     if unique_ok:
-        min_plus = extrema(c_plus)[0]
+        min_plus = s.min_plus
         # on very short intervals the denominator leaves float64, and r would read 0
         denom = _finite(
             "the Thm5_1 solution bound", sd.p, sd.interval,
@@ -134,8 +169,8 @@ def _eval_thm_positive(c: ScalarField, sd: SpectralData):
     return unique_ok, pos_ok, r, recs
 
 
-def _eval_thm_negative(c: ScalarField, p: float, interval: Interval, sd: SpectralData):
-    c_m, c_sup = extrema(c)
+def _eval_thm_negative(s: _Scan, p: float, interval: Interval, sd: SpectralData):
+    c_m = s.c_min
     recs = [
         _rec("Thm5_2_unique", "c_min > -lambda1_prime", c_m, ">", -sd.lambda1_prime),
         _rec("Thm5_2_unique", "c_min < -lambda1", c_m, "<", -sd.lambda1),
@@ -145,7 +180,7 @@ def _eval_thm_negative(c: ScalarField, p: float, interval: Interval, sd: Spectra
     r = None
     if window_ok:
         d2v = delta2(p, interval, c_m)
-        dev = integrate(ScalarField(c.grid, np.asarray(c.values, dtype=np.float64) - c_m))
+        dev = s.spread
         recs.append(
             _rec("Thm5_2_unique", "int (c - c_min) < delta1 * delta2", dev, "<", sd.delta1 * d2v)
         )
@@ -158,14 +193,14 @@ def _eval_thm_negative(c: ScalarField, p: float, interval: Interval, sd: Spectra
     return unique_ok, neg_ok, r, recs
 
 
-def _eval_amp_positive(c: ScalarField, h: ScalarField, sd: SpectralData):
-    h_m, h_sup = extrema(h)
+def _eval_amp_positive(s: _Scan, sd: SpectralData):
+    h_m, h_sup = s.h_extrema
     recs = [_rec("Thm6_1_pos_h", "h_min > 0", h_m, ">", 0.0)]
     notes: list[str] = []
     if not recs[0].satisfied:
         return False, False, recs, notes
     ratio = h_m / h_sup
-    c_m, c_sup = extrema(c)
+    c_m, c_sup = s.c_min, s.c_max
     recs.append(_rec("Thm6_1_pos_h", "c_min > -lambda1", c_m, ">", -sd.lambda1))
     recs.append(_rec("Thm6_1_pos_h", "c_min <= 0", c_m, "<=", 0.0))
     thr1 = -sd.lambda2 + ratio * (2.0 / np.pi) * (sd.lambda1 + c_m)
@@ -179,10 +214,9 @@ def _eval_amp_positive(c: ScalarField, h: ScalarField, sd: SpectralData):
         )
     )
     hyp1 = recs[1].satisfied and recs[2].satisfied and recs[3].satisfied
-    c_plus, c_minus = split_signs(c)
-    int_minus = integrate(c_minus)
+    int_minus = s.int_minus
     recs.append(_rec("Thm6_1_pos_h", "int c_minus < delta1", int_minus, "<", sd.delta1))
-    min_term = min(extrema(c_plus)[0], -sd.lambda2)
+    min_term = min(s.min_plus, -sd.lambda2)
     thr2 = _finite(
         "the Thm6_1_pos_h threshold", sd.p, sd.interval,
         lambda: -sd.lambda2 + ratio * float(sd.delta1 - int_minus) / math.sqrt(sd.delta1)
@@ -208,20 +242,20 @@ def _eval_amp_positive(c: ScalarField, h: ScalarField, sd: SpectralData):
     return applies, transfers, recs, notes
 
 
-def _eval_amp_negative(c: ScalarField, h: ScalarField, p: float, interval: Interval, sd: SpectralData):
-    h_m, h_sup = extrema(h)
+def _eval_amp_negative(s: _Scan, p: float, interval: Interval, sd: SpectralData):
+    h_m, h_sup = s.h_extrema
     recs = [_rec("Thm6_2_neg_h", "h_min > 0", h_m, ">", 0.0)]
     notes: list[str] = []
     if not recs[0].satisfied:
         return False, recs, notes
     ratio = h_m / h_sup
-    c_m, c_sup = extrema(c)
+    c_m = s.c_min
     recs.append(_rec("Thm6_2_neg_h", "c_min > -lambda1_prime", c_m, ">", -sd.lambda1_prime))
     recs.append(_rec("Thm6_2_neg_h", "c_min < -lambda1", c_m, "<", -sd.lambda1))
     if not (recs[1].satisfied and recs[2].satisfied):
         return False, recs, notes
     d2v = delta2(p, interval, c_m)
-    dev = integrate(ScalarField(c.grid, np.asarray(c.values, dtype=np.float64) - c_m))
+    dev = s.spread
     recs.append(
         _rec("Thm6_2_neg_h", "int (c - c_min) < delta1 * delta2", dev, "<", sd.delta1 * d2v)
     )
@@ -247,9 +281,9 @@ def _eval_amp_negative(c: ScalarField, h: ScalarField, p: float, interval: Inter
     return recs[-1].satisfied, recs, notes
 
 
-def _eval_uniqueness_window(c: ScalarField, p: float, interval: Interval, sd: SpectralData):
-    c_m, c_sup = extrema(c)
-    gap = nearest_mode(p, interval, c_m, c_sup)[1]
+def _eval_uniqueness_window(s: _Scan, p: float, interval: Interval, sd: SpectralData):
+    c_m = s.c_min
+    gap = nearest_mode(p, interval, c_m, s.c_max)[1]
     ok = gap > 0.0
     recs = [_rec("Prop4_2_unique", "distance from range of c to nearest -lambda_k", gap, ">", 0.0)]
     r = None
@@ -264,7 +298,7 @@ def _eval_uniqueness_window(c: ScalarField, p: float, interval: Interval, sd: Sp
 
 def check_corollary(c: ScalarField, sd: SpectralData) -> Verdict | None:
     """Constant-window rule: the range of c inside (-lambda1, -lambda2] or [-lambda3, -lambda1)."""
-    pos, neg, recs = _eval_corollary(c, sd)
+    pos, neg, recs = _eval_corollary(_Scan(c), sd)
     if pos:
         return Verdict("Cor2_1_pos", "positive", None, True, tuple(recs))
     if neg:
@@ -277,7 +311,7 @@ def check_thm_positive(
 ) -> Verdict | None:
     """Mean-smallness rule int c_minus < delta1, upgraded to positivity when c <= -lambda2."""
     sd = _resolve_spectral(p, interval, sd)
-    unique_ok, pos_ok, r, recs = _eval_thm_positive(c, sd)
+    unique_ok, pos_ok, r, recs = _eval_thm_positive(_Scan(c), sd)
     if pos_ok:
         return Verdict("Thm5_1_pos", "positive", r, True, tuple(recs))
     if unique_ok:
@@ -290,7 +324,7 @@ def check_thm_negative(
 ) -> Verdict | None:
     """Window-plus-spread rule, upgraded to negativity when c_min >= -lambda3."""
     sd = _resolve_spectral(p, interval, sd)
-    unique_ok, neg_ok, r, recs = _eval_thm_negative(c, p, interval, sd)
+    unique_ok, neg_ok, r, recs = _eval_thm_negative(_Scan(c), p, interval, sd)
     if neg_ok:
         return Verdict("Thm5_2_neg", "negative", r, True, tuple(recs))
     if unique_ok:
@@ -309,7 +343,7 @@ def check_amp_positive_h(
     if c.grid != h.grid:
         raise ValueError("c and h must share a grid")
     sd = _resolve_spectral(p, interval, sd)
-    applies, transfers, recs, notes = _eval_amp_positive(c, h, sd)
+    applies, transfers, recs, notes = _eval_amp_positive(_Scan(c, h), sd)
     if applies:
         return Verdict("Thm6_1_pos_h", "positive", None, transfers, tuple(recs), tuple(notes))
     return None
@@ -326,7 +360,7 @@ def check_amp_negative_h(
     if c.grid != h.grid:
         raise ValueError("c and h must share a grid")
     sd = _resolve_spectral(p, interval, sd)
-    applies, recs, notes = _eval_amp_negative(c, h, p, interval, sd)
+    applies, recs, notes = _eval_amp_negative(_Scan(c, h), p, interval, sd)
     if applies:
         return Verdict("Thm6_2_neg_h", "negative", None, False, tuple(recs), tuple(notes))
     return None
@@ -348,29 +382,29 @@ def verdict(problem: ProblemSpec) -> Verdict:
     tightest applicable uniqueness bound; it is omitted for problems with
     nonzero end moments, where the underlying estimates do not apply.
     """
-    c, h = problem.c, problem.h
     p, interval = problem.p, problem.interval
     sd = SpectralData.compute(p, interval)
+    scan = _Scan(problem.c, problem.h)
     recs: list[InequalityRecord] = []
     notes: list[str] = []
 
-    cor_pos, cor_neg, r0 = _eval_corollary(c, sd)
+    cor_pos, cor_neg, r0 = _eval_corollary(scan, sd)
     recs += r0
-    t51_unique, t51_pos, t51_r, r1 = _eval_thm_positive(c, sd)
+    t51_unique, t51_pos, t51_r, r1 = _eval_thm_positive(scan, sd)
     recs += r1
-    t52_unique, t52_neg, t52_r, r2 = _eval_thm_negative(c, p, interval, sd)
+    t52_unique, t52_neg, t52_r, r2 = _eval_thm_negative(scan, p, interval, sd)
     recs += r2
-    a61_ok, a61_transfers, r3, n3 = _eval_amp_positive(c, h, sd)
+    a61_ok, a61_transfers, r3, n3 = _eval_amp_positive(scan, sd)
     recs += r3
     notes += n3
-    a62_ok, r4, n4 = _eval_amp_negative(c, h, p, interval, sd)
+    a62_ok, r4, n4 = _eval_amp_negative(scan, p, interval, sd)
     recs += r4
     notes += n4
-    p42_ok, p42_r, r5 = _eval_uniqueness_window(c, p, interval, sd)
+    p42_ok, p42_r, r5 = _eval_uniqueness_window(scan, p, interval, sd)
     recs += r5
 
     nonhomog = problem.d1 < 0.0 or problem.d2 < 0.0
-    h_m, h_sup = extrema(h)
+    h_m, h_sup = scan.h_extrema
     sign_applies = h_m >= 0.0 and (h_sup > 0.0 or nonhomog)
     flip = (not sign_applies) and h_sup <= 0.0 and h_m < 0.0 and not nonhomog
 

@@ -513,13 +513,18 @@ def _rhs_vector(op: OperatorMatrix, problem: ProblemSpec) -> np.ndarray:
     return b
 
 
-def _solve_vector(op: OperatorMatrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_vector(
+    op: OperatorMatrix, rhs: np.ndarray, bounded: bool = True
+) -> tuple[np.ndarray, float | None]:
     """A^-1 rhs on nodes 0 .. n by one transposed split solve, and its forward-error bound.
 
     Rows 0 and n of ``rhs`` are not read, and those of u are zero.  M^T y =
     (rhs, 0), with rhs in the u-rows, leaves A^-1 rhs in the v-rows.  The
     bound, on max|u - u_exact| / max|u|, and its ResonanceError are those
     of :func:`_split_solve_error`.  A zero ``rhs`` returns u = 0, bound 0.
+    With ``bounded`` false the condition estimate is skipped and the bound
+    reads None; ResonanceError is then raised only when M is singular or u
+    is not finite.
     """
     u = np.zeros(op.grid.n + 1)
     inner = np.asarray(rhs, dtype=np.float64)[1:-1]
@@ -529,7 +534,12 @@ def _solve_vector(op: OperatorMatrix, rhs: np.ndarray) -> tuple[np.ndarray, floa
     loads[0::2] = inner
     y = op._solve_split_transposed(_split_scale(op, loads))
     u[1:-1] = y[1::2]
-    bound = _split_solve_error(op, _max_abs(y), _max_abs(u), "solve")
+    if bounded:
+        bound = _split_solve_error(op, _max_abs(y), _max_abs(u), "solve")
+    elif op._split_factors()[3] != 0 or not np.isfinite(_max_abs(y)):
+        raise _resonance_error(op, "the solve breaks down; ")
+    else:
+        bound = None
     return _split_scale(op, u), bound
 
 
@@ -638,13 +648,18 @@ def fixed_point_solve(
 
     The iteration stops once the sup-norm step is below ``tol`` and the
     forward-error bound of u_k is within 1e-3 of sup|u_k|; when d = c the
-    one solve is the answer.  Otherwise, as step ratios can sit below the
-    contraction, the bound comes from one more solve, with c itself, at the
-    first step below ``tol``: max|u_k - u_c| plus that solve's bound.  The
-    largest observed step ratio is reported as the contraction ratio.  It
-    raises :class:`~beamsign.errors.ConvergenceError`, with the bound in the
+    one solve is the answer, with the bound of :func:`direct_solve`.
+    Otherwise, as step ratios can sit below the contraction, the bound comes
+    from one more solve, with c itself, at the first step below ``tol``:
+    max|u_k - u_c| plus that solve's bound.  That solve takes the run's one
+    condition estimate; the steps with T[p, d] take none.  The largest
+    observed step ratio is reported as the contraction ratio.  It raises
+    :class:`~beamsign.errors.ConvergenceError`, with the bound in the
     message when the steps met ``tol``, when ``max_iter`` steps do not get
-    there, and ResonanceError where :func:`direct_solve` would with c or d.
+    there, and ResonanceError where :func:`direct_solve` would with c, and
+    when T[p, d] is singular or a step is not finite.  An ill-conditioned
+    but nonsingular T[p, d] raises nothing itself: the bound from the solve
+    with c answers for the result, or ConvergenceError ends the run.
 
     Only homogeneous end moments are supported (d1 = d2 = 0).  By default the
     matching amplified-load hypotheses are verified first and a ValueError is
@@ -688,7 +703,7 @@ def fixed_point_solve(
     reference = None  # (u_c, its bound), solved at the first step below tol
     settled = False
     for _ in range(max_iter):
-        x, bound = _solve_vector(op, hv - correction * u)
+        x, bound = _solve_vector(op, hv - correction * u, bounded=static_rhs)
         step = _max_abs(x - u)
         iterates.append(ScalarField(grid, x))
         diffs.append(step)

@@ -25,3 +25,39 @@ def test_package_exports_are_pinned_and_resolve():
     namespace = {}
     exec("from beamsign import *", namespace)
     assert EXPORTED <= namespace.keys()
+
+
+def _modules_loaded_by(code):
+    # the beamsign modules a fresh interpreter holds after running ``code``
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(beamsign.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = code + "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('beamsign'))))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_imports_load_only_what_a_call_uses():
+    loaded = _modules_loaded_by("import beamsign\nfrom beamsign import Grid, Interval, ScalarField")
+    assert loaded == ["beamsign", "beamsign.fields"]
+    loaded = _modules_loaded_by("import beamsign.cli")
+    assert loaded == [
+        "beamsign", "beamsign.cli", "beamsign.errors", "beamsign.expressions", "beamsign.fields",
+    ]
+
+
+def test_the_lazy_name_table_matches_each_module():
+    import importlib
+    from pathlib import Path
+
+    package = Path(beamsign.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "cli"}
+    assert set(beamsign._EXPORTS) == modules
+    for module, names in beamsign._EXPORTS.items():
+        assert names == tuple(importlib.import_module(f"beamsign.{module}").__all__)
+    # submodules resolve as attributes, as they did when the package imported them all
+    assert beamsign.solver is importlib.import_module("beamsign.solver")
+    assert "verdict" in dir(beamsign)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from beamsign.principles import (
     check_thm_positive,
     verdict,
 )
+from beamsign.expressions import parse_expression
 from beamsign.spectrum import SpectralData
 
 UNIT = Interval(0.0, 1.0)
@@ -259,3 +263,41 @@ def test_spectral_data_mismatch_is_rejected():
     c, _ = fields(0.0)
     with pytest.raises(ValueError):
         check_thm_positive(c, 1.0, UNIT, SD0)
+
+
+# (a, b, p, c, h, d1, d2, n): one problem for each branch of the rule scan
+RULE_SCAN = [
+    (0.0, 1.0, 0.0, "100", "1", 0.0, 0.0, 200),  # Cor2_1_pos; Thm5_2 window fails
+    (0.0, 1.0, 0.0, "-200 - 10*t", "1 + t", 0.0, 0.0, 200),  # Cor2_1_neg; Thm5_2 holds
+    (0.0, 1.0, 0.0, "-300 + 600*t", "1", 0.0, 0.0, 200),  # window holds, spread fails; none
+    (0.0, 1.0, 0.0, "900 - 1000*t", "2 - t", 0.0, 0.0, 200),  # Thm5_1_pos
+    (0.0, 1.0, 5.0, "1080 - 1100*t", "1 + t", 0.0, 0.0, 200),  # Thm6_1 first hypothesis, p > 0
+    (0.0, 1.0, 0.0, "10 + 950*t", "1 + t", -1.0, 0.0, 200),  # Thm6_1 second only, end moment
+    (0.0, 1.0, 0.0, "100", "-1 - t", 0.0, 0.0, 200),  # h < 0: the sign flips
+    (0.0, 1.0, 0.0, "100", "t - 0.5", 0.0, 0.0, 200),  # mixed-sign h
+    (0.0, 1.0, 5.0, "-305 + 10*t", "1 + t", 0.0, 0.0, 200),  # Thm6_2_neg_h, p > 0
+    (0.0, 1.0, 0.0, "-90 + 3000*t*t*t*t*t*t*t*t", "t - 0.5", 0.0, 0.0, 200),  # Prop4_2 with r
+    (0.0, 1.0, 0.0, "-2000", "1", 0.0, -0.5, 200),  # Prop4_2 without r, end moment
+    (0.0, 5.59e-77, 0.0, "1.78e308", "1", 0.0, 0.0, 200),  # Thm5_1 bound overflows
+    (0.0, 1e10, 0.0, "-1.7e308", "1", 0.0, 0.0, 200),  # Thm6_1 threshold overflows
+    (0.0, 1e-62, 0.0, "-2e250", "1", 0.0, 0.0, 200),  # Thm6_2 threshold overflows
+]
+
+
+def test_the_rule_scan_matches_its_recorded_verdicts():
+    # repr of each verdict, or of the error it raised, recorded before the
+    # statistics of c and h were shared between the rules: every rule, sign,
+    # r_bound, record and note stays bit for bit the same
+    recorded = json.loads((Path(__file__).parent / "verdict_reprs.json").read_text())
+    assert len(recorded) == len(RULE_SCAN)
+    for (a, b, p, c, h, d1, d2, n), expected in zip(RULE_SCAN, recorded):
+        interval = Interval(a, b)
+        grid = Grid(interval, n)
+        zero = 0.0 * grid.nodes  # broadcasts a constant expression to every node
+        c_field = ScalarField(grid, parse_expression(c)(grid.nodes) + zero)
+        h_field = ScalarField(grid, parse_expression(h)(grid.nodes) + zero)
+        try:
+            got = repr(verdict(ProblemSpec(interval, p, c_field, h_field, d1=d1, d2=d2)))
+        except ValueError as exc:
+            got = repr(exc)
+        assert got == expected, (a, b, p, c, h)

@@ -847,10 +847,7 @@ def test_fixed_point_reports_a_missed_forward_error_bound():
     assert "0.001 * sup|u| = 9.461e-06" in message
 
 
-def test_each_operator_takes_at_most_two_condition_estimates(monkeypatch):
-    # at c = 1e11 every vector solve's plain bound misses 1e-3 and takes the
-    # column-equilibrated one; both are kept on the operator, so further
-    # solves with it estimate nothing
+def _count_condition_estimates(monkeypatch):
     from beamsign import solver
 
     lapack = solver._lapack()
@@ -862,12 +859,49 @@ def test_each_operator_takes_at_most_two_condition_estimates(monkeypatch):
         return estimate(*args, **kwargs)
 
     monkeypatch.setattr(lapack, "dgbcon", counting)
+    return calls
+
+
+def test_each_operator_takes_at_most_two_condition_estimates(monkeypatch):
+    # at c = 1e11 every vector solve's plain bound misses 1e-3 and takes the
+    # column-equilibrated one; both are kept on the operator, so further
+    # solves with it estimate nothing
+    from beamsign import solver
+
+    calls = _count_condition_estimates(monkeypatch)
     grid = Grid(UNIT, 200)
     t = grid.nodes
     op = assemble(5.0, ScalarField(grid, 1e11 * (1.0 + 0.1 * t)))
     for k in (1, 2, 3):
         assert solver._solve_vector(op, np.sin(k * np.pi * t))[1] <= 1e-7
     assert len(calls) == 2
+
+
+def test_a_fixed_point_run_takes_one_condition_estimate(monkeypatch):
+    # the steps with the frozen operator take none: the run's one is that of
+    # the solve with c itself, which bounds the result
+    calls = _count_condition_estimates(monkeypatch)
+    run = fixed_point_solve(_fixed_point_problem(), mode="negative", tol=1e-10)
+    assert run.solution.iterations >= 3
+    assert run.solution.forward_error_bound <= 1e-6
+    assert len(calls) == 1
+    # with d = c the one solve is the answer, and takes the one estimate
+    calls.clear()
+    assert fixed_point_solve(unit_problem(200, 900.0), mode="positive").solution.iterations == 1
+    assert len(calls) == 1
+
+
+def test_a_singular_frozen_operator_still_raises_resonance():
+    # positive mode clamps c = 2000 to -lambda2 at the middle node and keeps
+    # c = -411.81287039424393 elsewhere, which makes T[p, d] singular to
+    # working precision (its last pivot is 5.6e-14, against entries of
+    # 4096): the iterates grow about 1e13-fold a step until they leave float64
+    grid = Grid(UNIT, 8)
+    cv = np.full(9, -411.81287039424393)
+    cv[4] = 2000.0
+    problem = ProblemSpec(UNIT, 0.0, ScalarField(grid, cv), ScalarField.constant(grid, 1.0))
+    with pytest.raises(ResonanceError, match="the solve breaks down"):
+        fixed_point_solve(problem, mode="positive", check_hypotheses=False)
 
 
 def test_fixed_point_bound_holds_where_the_first_step_ratio_misleads():

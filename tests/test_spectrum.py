@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsign import Grid, Interval, ScalarField
+from beamsign import Grid, Interval, ProblemSpec, ScalarField, fixed_point_solve, verdict
+from beamsign import spectrum
+from beamsign.errors import RootSearchError
 from beamsign.spectrum import (
     SpectralData,
     delta1,
@@ -146,6 +148,64 @@ def test_spectral_data_compute_is_consistent():
     assert sd.lambda2 == lambda2(2.0, UNIT)
     assert sd.lambda3 == lambda3(2.0, UNIT)
     assert sd.delta1 == delta1(2.0, UNIT)
+
+
+def _counting(monkeypatch, name, function=None):
+    # calls of the spectrum module's ``name``, each recorded by its arguments
+    calls = []
+    function = function or getattr(spectrum, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(spectrum, name, wrapped)
+    spectrum._spectral_data.cache_clear()
+    return calls
+
+
+def test_thresholds_are_computed_once_per_p_and_interval(monkeypatch):
+    # verdict and fixed_point_solve share the memo of SpectralData.compute:
+    # one root search for lambda2 and one for lambda3, however often they run
+    calls = _counting(monkeypatch, "_tan_tanh_root")
+    grid = Grid(UNIT, 200)
+    c = ScalarField(grid, -250.0 + 20.0 * np.sin(np.pi * grid.nodes))
+    problem = ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0))
+    for _ in range(3):
+        assert verdict(problem).rule == "Thm6_2_neg_h"
+        fixed_point_solve(problem, mode="negative")
+    assert sorted(what for _, what in calls) == ["lambda2", "lambda3"]
+    assert SpectralData.compute(0.0, Interval(0.0, 1.0)) is SpectralData.compute(0.0, UNIT)
+
+
+def test_the_threshold_memo_keeps_signed_zeros_apart():
+    # -0.0 == 0.0 and both hash alike, but ``beamsign spectrum`` prints repr(p)
+    plus = SpectralData.compute(0.0, UNIT)
+    minus = SpectralData.compute(-0.0, UNIT)
+    assert repr(plus.p) == "0.0"
+    assert repr(minus.p) == "-0.0"
+    assert SpectralData.compute(0.0, UNIT) is plus
+    assert repr(SpectralData.compute(0.0, Interval(-0.0, 1.0)).interval.a) == "-0.0"
+    # equal values of another type are kept apart too
+    assert SpectralData.compute(0, Interval(0, 1)).interval == Interval(0, 1)
+    assert repr(SpectralData.compute(0, Interval(0, 1)).interval.b) == "1"
+
+
+def test_the_threshold_memo_keeps_no_errors(monkeypatch):
+    calls = _counting(monkeypatch, "lambda_k")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="lambda_1 overflows float64"):
+            SpectralData.compute(1.0, Interval(0.0, 1e-80))
+    assert len(calls) == 2
+
+    def no_root(s, what):
+        raise RootSearchError(f"{what}: no sign change")
+
+    calls = _counting(monkeypatch, "_tan_tanh_root", no_root)
+    for _ in range(2):
+        with pytest.raises(RootSearchError):
+            SpectralData.compute(2.0, UNIT)
+    assert [what for _, what in calls] == ["lambda2", "lambda2"]
 
 
 # least roots at large p L^2, from a 50-digit bisection of the original
