@@ -104,7 +104,7 @@ class _Scan:
 
     All but the extrema of c are taken at their first read, so a scan pays
     only for what its rules reach; int (c - c_min), which can overflow, is
-    read only where the Thm5_2 window holds.
+    read only where the Thm5_2 and Thm6_2 window holds.
     """
 
     def __init__(self, c: ScalarField, h: ScalarField | None = None):
