@@ -21,7 +21,7 @@ _EXPORTS = {
     "expressions": ("ExpressionError", "Expression", "parse_expression"),
     "fields": (
         "Interval", "Grid", "ScalarField", "ProblemSpec", "extrema", "split_signs",
-        "integrate", "sup_norm", "l2_norm", "diff", "energy_norm",
+        "integrate", "sup_norm", "l2_norm", "diff",
     ),
     "greens": (
         "GreensMatrix", "GreensSignReport", "char_roots", "greens_constant",
@@ -37,8 +37,7 @@ _EXPORTS = {
         "operator_norm_bound", "rhs_norm_bound", "smallest_eigenvalue",
     ),
     "spectrum": (
-        "SpectralData", "lambda_k", "lambda2", "lambda3", "delta1", "delta1_alt", "delta2",
-        "nearest_mode", "resonance_check",
+        "SpectralData", "lambda_k", "lambda2", "lambda3", "delta1", "delta2", "nearest_mode",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

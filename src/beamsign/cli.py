@@ -261,7 +261,7 @@ def _solve_by_method(pf: ProblemFile, problem: ProblemSpec):
 
 
 def cmd_spectrum(args) -> int:
-    from .spectrum import SpectralData, delta1_alt
+    from .spectrum import SpectralData
 
     interval = Interval(args.a, args.b)
     sd = SpectralData.compute(args.p, interval)
@@ -272,9 +272,6 @@ def cmd_spectrum(args) -> int:
     print(f"lambda2        = {_fmt(sd.lambda2)}")
     print(f"lambda3        = {_fmt(sd.lambda3)}")
     print(f"delta1         = {_fmt(sd.delta1)}")
-    alt = delta1_alt(args.p, interval)
-    if alt != sd.delta1:
-        print(f"delta1_alt     = {_fmt(alt)}  # variant reading with (b-a)^(3/2) scaling")
     return 0
 
 

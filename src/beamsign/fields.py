@@ -24,7 +24,6 @@ __all__ = [
     "sup_norm",
     "l2_norm",
     "diff",
-    "energy_norm",
 ]
 
 
@@ -221,17 +220,3 @@ def diff(f: ScalarField, order: int) -> ScalarField:
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
     return ScalarField(f.grid, out)
 
-
-def energy_norm(u: ScalarField, p: float, r: ScalarField) -> float:
-    """sqrt( int u''^2 + p int u'^2 + int r u^2 ) with p >= 0 and r >= 0."""
-    require_p(p)
-    if u.grid != r.grid:
-        raise ValueError("u and r must share a grid")
-    if extrema(r)[0] < 0:
-        raise ValueError("weight r must be nonnegative")
-    du = np.asarray(diff(u, 1).values, dtype=np.float64)
-    d2u = np.asarray(diff(u, 2).values, dtype=np.float64)
-    uv = np.asarray(u.values, dtype=np.float64)
-    integrand = d2u * d2u + p * du * du + np.asarray(r.values, dtype=np.float64) * uv * uv
-    val = _simpson(integrand, u.grid.spacing)
-    return float(np.sqrt(max(val, 0.0)))

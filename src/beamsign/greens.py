@@ -12,7 +12,6 @@ scaled unit loads.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ResonanceError
 from .fields import Grid, ScalarField, require_p
 from .solver import (
+    _GAMMA3,
     _KERNEL_RTOL,
+    _TINY,
+    _U,
     OperatorMatrix,
     _constant_modes,
     _max_abs,
+    _modal_error,
     _mode_error,
     _resolve_grid,
     _solve_vector,
@@ -44,12 +47,6 @@ __all__ = [
     "sign_scan",
 ]
 
-# the unit roundoff and gamma_k = k u / (1 - k u) (Higham 2002, Lemma 3.1)
-_U = 2.0**-53
-_GAMMA3 = 3 * _U / (1.0 - 3 * _U)
-_GAMMA4 = 4 * _U / (1.0 - 4 * _U)
-# the smallest subnormal, a bound on the absolute error of a rounding that underflows
-_TINY = 2.0**-1074
 # kernel columns per trailing split solve in _split_kernel: 48 and 64 tie as
 # the fastest at n = 250 and n = 1000, while 32 and 96 are up to 5 % slower
 _KERNEL_BLOCK = 48
@@ -190,7 +187,7 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     """
     grid = _resolve_grid(c.grid, grid)
     require_p(p)
-    modes = _constant_modes(p, c, grid)
+    modes = _constant_modes(p, c, grid, "kernel")
     if modes is not None:
         return _closed_form_kernel(p, c, grid, *modes)
     return _split_kernel(assemble(p, c, grid))
@@ -208,33 +205,12 @@ def _closed_form_kernel(
     the computed d_k = beta_k + c and ``slack`` its bound e_k from
     ``solver._constant_modes``, which has already raised where e_k >= |d_k|.
 
-    The forward-error bound is a-priori, in three parts (u = 2**-53,
-    gamma_k = k u / (1 - k u), no step underflowing but those counted in
-    the absolute terms below):
-
-    - the modal denominators: mu_k is within gamma_15 of its exact value
-      (see ``spectrum._discrete_beta``), beta_k = mu_k (mu_k + p) within gamma_32, as
-      p >= 0, and d_k = beta_k + c within gamma_33 (beta_k + |c|); the
-      slack e_k = gamma_36 (beta_k + |c|), computed, covers that with room
-      for the rounding of e_k itself.  So |d_k - d_k exact| <= e_k, and the
-      bound would be inf if e_k >= |d_k| for some k: the rounding may reach
-      the denominator itself.  Otherwise each weight w_k = fl(1 / d_k) is
-      within rho_k = (e_k / (|d_k| - e_k) + u) / (1 - u) of 1 / d_k exact,
-      relative to |w_k|, which moves every S[d] by at most sum_k rho_k |w_k|,
-      plus n 2**-1074 for weights that underflow;
-    - the FFT of length N = 2n: ||y_computed - y||_2 <= t eta / (1 - t eta)
-      sqrt(N) ||w||_2, with t = ceil(log2 N) stages and eta = mu + gamma_4
-      (sqrt(2) + mu) for twiddle factors within mu = 2u (Higham 2002,
-      Theorem 24.2, stated for radix 2; numpy's pocketfft mixes radices),
-      plus 2 N t 2**-1074 for roundings that underflow; that 2-norm bounds
-      every entry of S;
-    - the difference, the division by L and the identity L = n h (1 + delta),
-      |delta| <= u, for h = fl(L / n): three relative roundings, so G
-      computed is within gamma_3 / (1 - gamma_3) max|G| plus 2 sigma / (L (1 - u))
-      of G exact, sigma the sum of the first two parts.
-
-    The bound itself is evaluated in float64, which moves it only in its
-    last digits.
+    The forward-error bound is a-priori, evaluated in float64: the weights
+    w_k = fl(1 / d_k) and the FFT that sums them move every S[d] by at most
+    sigma = ``solver._modal_error``, and the difference, the division by L
+    and L = n h (1 + delta), |delta| <= u = 2**-53, for h = fl(L / n) are
+    three relative roundings, so G computed is within gamma_3 / (1 - gamma_3)
+    max|G| plus 2 sigma / (L (1 - u)) of G exact.
     """
     n = grid.n
     L = grid.interval.length
@@ -244,17 +220,12 @@ def _closed_form_kernel(
     w = folded[1:n]
     np.divide(1.0, denom, out=w)
     vals = _cosine_kernel(folded, L)
-    stages = (2 * n - 1).bit_length()  # ceil(log2 N)
-    eta = 2 * _U + _GAMMA4 * (math.sqrt(2.0) + 2 * _U)
-    fft = stages * eta / (1.0 - stages * eta) * math.sqrt(2 * n) * float(np.linalg.norm(w))
-    fft += 4 * n * stages * _TINY
-    rho = (slack / (np.abs(denom) - slack) + _U) / (1.0 - _U)
-    sigma = float(rho @ np.abs(w)) + n * _TINY + fft
+    sigma = _modal_error(w, denom, slack)
     top = _max_abs(vals)
     error = 2.0 * sigma / (L * (1.0 - _U)) + _TINY
     bound = _GAMMA3 / (1.0 - _GAMMA3) + error / top if top > 0.0 else np.inf
     if not bound <= _KERNEL_RTOL:
-        raise _mode_error(p, c, grid, denom, slack, bound)
+        raise _mode_error(p, c, grid, denom, slack, bound, "kernel")
     return GreensMatrix(grid, vals, forward_error_bound=bound)
 
 
@@ -320,9 +291,8 @@ def y_boundary(p: float, c: ScalarField, grid: Grid | None, side: str) -> Scalar
 
     The end moments enter the discrete right-hand side through the ghost rows,
     so a unit moment at a puts -1/spacing^2 at the first interior node.  It
-    is one split solve, with the forward-error bound of
-    :func:`~beamsign.solver.direct_solve`, and raises
-    :class:`~beamsign.errors.ResonanceError` where that does.
+    is one vector solve on the path of :func:`~beamsign.solver.direct_solve`
+    and raises :class:`~beamsign.errors.ResonanceError` where that does.
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")

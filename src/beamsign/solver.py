@@ -14,7 +14,14 @@ use.  Its diagonal 6/spacing**4 + 2 p/spacing**2 + c rounds c away at large
 n, by up to u 6/spacing**4 (1.1e-2 at n = 2000 on [0, 1], u = 2**-53), so a
 solve on it converges to the rounded band, not to A.
 
-Every other solve runs on the split system M instead: with v = L u, each
+Every other solve takes one of two paths, by the kind of c, and neither
+touches the band.  For c constant on the interior nodes the DST-I S
+diagonalises A, with eigenvalues beta_k + c (``_constant_modes``): a kernel
+is a sine transform (``greens._closed_form_kernel``) and a vector solve is
+u = (2 / n) S diag(1 / (beta_k + c)) S rhs (``_closed_form_vector``), with
+a-priori bounds from ``_modal_error``; neither factors or loads LAPACK.
+
+For variable c the solves run on the split system M: with v = L u, each
 interior equation is L u - v = 0 and L v + p v + c u = f, the unknowns are
 interleaved as (u_1, v_1, u_2, v_2, ...), and M is a (2, 2) band on
 2 (n - 1) rows in which c never meets a spacing**-4 term.  M is built for
@@ -22,11 +29,10 @@ the unit interval (spacing 1/n, p L**2 and c L**4 for an interval of length
 L), whose operator is L**4 A: loads and results are each scaled by L**2,
 so the entries of M do not grow or shrink with the interval.  As A is
 symmetric, the transposed solve M^T y = (b, 0) gives A^-1 b in the v-rows
-of y: with b = e_j a kernel column (``greens.greens_discrete``), with b a
-right-hand side the solution of a vector solve (``_solve_vector``, behind
-``direct_solve``, ``superposition_solve``, ``fixed_point_solve`` and
-``greens.y_boundary``).  Each is a float64 ``gbtrs`` on factors computed
-once per operator, with no refinement and nothing in extended precision.
+of y: with b = e_j a kernel column (``greens._split_kernel``), with b a
+right-hand side the solution of a vector solve (``_split_vector``).  Each
+is a float64 ``gbtrs`` on factors computed once per operator, with no
+refinement and nothing in extended precision.
 
 The factors come with a forward-error bound, computed in O(n) at its first
 read and without a residual: the backward error of a solve is bounded by
@@ -36,30 +42,30 @@ estimate (``gbcon``), which estimates ||M^-1||_1 and can fall short of it.
 Solves run with M^T, whose backward error takes the column sums of
 |P L| |U|, since partial pivoting leaves every column of L with three
 entries but lets a row collect hundreds (see ``_lu_column_sums``).  Kernels
-and vectors alike report that bound relative to the largest entry of their
-result and raise ``ResonanceError`` above ``_KERNEL_RTOL`` = 1e-3 (see
-``_split_solve_error``).  The kernel is symmetric too, so only its lower
-triangle is solved: a block of columns starting at j needs only the rows
-from 2 j on, and those come from the trailing part of the same factors (see
-``_solve_split_transposed``), bit for bit as a full solve would give them.
-For c constant on the interior nodes the DST-I diagonalises A, and the
-kernel and the superposition sum are sine transforms (``_constant_modes``).
+and vectors alike report their bound relative to the largest entry of their
+result and raise ``ResonanceError`` above ``_KERNEL_RTOL`` = 1e-3, on both
+paths (see ``_split_solve_error`` and ``_mode_error``).  The kernel is
+symmetric too, so only its lower triangle is solved: a block of columns
+starting at j needs only the rows from 2 j on, and those come from the
+trailing part of the same factors (see ``_solve_split_transposed``), bit for
+bit as a full solve would give them.
 
 LAPACK comes from scipy's compiled ``scipy.linalg._flapack`` extension, which
 is loaded directly at the first factorization (see ``_lapack``).  Importing
 ``scipy.linalg`` would load the same extension and, with it, a few hundred
 milliseconds of unrelated modules (scipy's array-API layer pulls in
 ``numpy.f2py``, ``numpy.testing``, ``numpy.ma`` and ``numpy.random``), most of
-a command-line call; code that never solves loads neither.
+a command-line call; code that never factors loads neither.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,25 +97,23 @@ __all__ = [
     "smallest_eigenvalue",
 ]
 
-# gamma_k = k u / (1 - k u) with the unit roundoff u = 2**-53 (Higham 2002, Lemma 3.1)
-_GAMMA13 = 13 * 2.0**-53 / (1.0 - 13 * 2.0**-53)
-_GAMMA36 = 36 * 2.0**-53 / (1.0 - 36 * 2.0**-53)
+# the unit roundoff u and gamma_k = k u / (1 - k u) (Higham 2002, Lemma 3.1)
+_U = 2.0**-53
+_GAMMA2 = 2 * _U / (1.0 - 2 * _U)
+_GAMMA3 = 3 * _U / (1.0 - 3 * _U)
+_GAMMA4 = 4 * _U / (1.0 - 4 * _U)
+_GAMMA13 = 13 * _U / (1.0 - 13 * _U)
+_GAMMA36 = 36 * _U / (1.0 - 36 * _U)
+# the smallest subnormal, a bound on the absolute error of a rounding that underflows
+_TINY = 2.0**-1074
 # mu_1 at least this keeps every mu_k^2 and beta_k normal, as the closed-form bounds assume
 _MU_MIN = 2.0**-511
 # largest forward-error bound, relative to the largest entry of the result,
-# that a split solve accepts, for kernels and vectors alike: on [0, 1] and p
-# in {0, 5, 50} the bound stays below 2e-4 up to n = 2000 for c >= -97, 0.4
-# from -lambda_1, while c on the split operator's own first eigenvalue
+# that a solve accepts, for kernels and vectors alike: on [0, 1] and p in
+# {0, 5, 50} the split bound stays below 2e-4 up to n = 2000 for c >= -97,
+# 0.4 from -lambda_1, while c on the split operator's own first eigenvalue
 # -(mu_1^2 + p mu_1) gives 1e5 or more
 _KERNEL_RTOL = 1e-3
-# largest gap, relative to sup|u|, allowed between the sine-transform sum of
-# constant c and the split solve of the same right-hand side.  Both solve the
-# exact operator, so the gap is about the split solve's error: on [0, 1], for
-# n from 200 to 3000, p in {0, 5, 50} and c from -150 to 1e5, it stays at
-# 6.7e-10 or less (the largest at n = 3000, p = 0, c = -97).  At n = 200 a
-# zeroed or shifted load, the zeroed first load (which also carries d1), or
-# every load scaled by 1.001 moves the sum by 3.1e-4 of sup|u| or more
-_SUPERPOSITION_RTOL = 1e-5
 
 
 def _resolve_grid(own: Grid, given: Grid | None) -> Grid:
@@ -403,6 +407,12 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
+def _norm2(a: np.ndarray) -> float:
+    # ||a||_2 scaled by max|a|, so the squares neither overflow nor underflow
+    top = _max_abs(a)
+    return top * float(np.linalg.norm(a / top)) if top > 0.0 else 0.0
+
+
 def _split_solve_error(op: OperatorMatrix, top: float, scale: float, subject: str) -> float:
     """The forward-error bound of split solves, relative to the largest entry of their result.
 
@@ -455,7 +465,9 @@ def _resonance_error(op: OperatorMatrix, cause: str = "") -> ResonanceError:
     )
 
 
-def _constant_modes(p: float, c: ScalarField, grid: Grid) -> tuple[np.ndarray, np.ndarray] | None:
+def _constant_modes(
+    p: float, c: ScalarField, grid: Grid, subject: str
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The modal denominators d_k = beta_k + c and their slack, when the sine transform applies.
 
     The DST-I diagonalises the interior block A = L**2 + p L + c I when c is
@@ -465,11 +477,11 @@ def _constant_modes(p: float, c: ScalarField, grid: Grid) -> tuple[np.ndarray, n
     there, or when mu_1 < 2**-511 (intervals longer than about 2.5e77),
     where the closed-form bounds would meet underflow.
 
-    Otherwise returns d_k and e_k = gamma_36 (beta_k + |c|), the slack that
-    covers the rounding of the computed d_k (derived in
-    ``greens._closed_form_kernel``).  Raises
-    :class:`~beamsign.errors.ResonanceError`, naming the discrete mode, when
-    e_k >= |d_k| for some k: the rounding may reach the denominator itself.
+    Otherwise returns d_k and the slack e_k = gamma_36 (beta_k + |c|), which
+    bounds the rounding of the computed d_k: mu_k is within gamma_15,
+    beta_k = mu_k (mu_k + p) within gamma_32 (p >= 0) and d_k within
+    gamma_33 (beta_k + |c|).  Raises the ResonanceError of
+    :func:`_mode_error`, naming ``subject``, when e_k >= |d_k| for some k.
     """
     inner = np.asarray(c.values, dtype=np.float64)[1:-1]
     if not np.all(inner == inner[0]):
@@ -483,20 +495,50 @@ def _constant_modes(p: float, c: ScalarField, grid: Grid) -> tuple[np.ndarray, n
     denom = beta + cv
     slack = _GAMMA36 * (beta + abs(cv))
     if not np.all(np.abs(denom) > slack):
-        raise _mode_error(p, c, grid, denom, slack, np.inf)
+        raise _mode_error(p, c, grid, denom, slack, np.inf, subject)
     return denom, slack
 
 
 def _mode_error(
-    p: float, c: ScalarField, grid: Grid, denom: np.ndarray, slack: np.ndarray, bound: float
+    p: float, c: ScalarField, grid: Grid, denom: np.ndarray, slack: np.ndarray, bound: float,
+    subject: str,
 ) -> ResonanceError:
-    # the closed-form kernel's bound missed: name the mode nearest its own rounding
+    # a closed-form bound missed: name the mode nearest its own rounding
     k = int(np.argmin(np.abs(denom) / slack))
     return _resonance_error(
         assemble(p, c, grid),
-        f"the kernel's forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g} "
+        f"the {subject}'s forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g} "
         f"(discrete mode k = {k + 1}: beta_k + c = {denom[k]:.3e}); ",
     )
+
+
+def _fft_error(n: int, norm: float) -> float:
+    """A bound on ||fl(F x) - F x||_2, F the FFT of length N = 2n and ``norm`` = ||x||_2.
+
+    t eta / (1 - t eta) sqrt(N) ||x||_2, t = ceil(log2 N) stages and
+    eta = mu + gamma_4 (sqrt(2) + mu) for twiddle factors within mu = 2u
+    (Higham 2002, Theorem 24.2, for radix 2; pocketfft mixes radices), plus
+    2 N t 2**-1074 for roundings that underflow.
+    """
+    stages = (2 * n - 1).bit_length()  # ceil(log2 N)
+    eta = 2 * _U + _GAMMA4 * (math.sqrt(2.0) + 2 * _U)
+    return stages * eta / (1.0 - stages * eta) * math.sqrt(2 * n) * norm + 4 * n * stages * _TINY
+
+
+def _modal_error(w: np.ndarray, denom: np.ndarray, slack: np.ndarray) -> float:
+    """A bound on each entry's error of sum_k w_k phi_k, |phi_k| <= 1, taken by one FFT.
+
+    The weights w_k = fl(y_k / d_k) divide by the modal denominators of
+    :func:`_constant_modes` (y_k = 1 for a kernel).  As |d_k - d_k exact|
+    <= e_k < |d_k|, each is within rho_k |w_k|, rho_k = (e_k / (|d_k| - e_k)
+    + u) / (1 - u), or 2**-1074 where it underflows, of y_k / d_k exact; the
+    FFT of length 2n that sums them adds :func:`_fft_error` of ||w||_2,
+    which also covers a sine sum: half the FFT of an odd extension of
+    2-norm sqrt(2) ||w||_2.
+    """
+    n = len(w) + 1
+    rho = (slack / (np.abs(denom) - slack) + _U) / (1.0 - _U)
+    return float(rho @ np.abs(w)) + n * _TINY + _fft_error(n, _norm2(w))
 
 
 # ---------------------------------------------------------------------------
@@ -516,22 +558,70 @@ def _rhs_vector(op: OperatorMatrix, problem: ProblemSpec) -> np.ndarray:
 def _solve_vector(
     op: OperatorMatrix, rhs: np.ndarray, bounded: bool = True
 ) -> tuple[np.ndarray, float | None]:
+    """A^-1 rhs on nodes 0 .. n and its bound on max|u - u_exact| / max|u|, by the kind of c.
+
+    Rows 0 and n of ``rhs`` are not read, and those of u are zero.  Constant
+    c takes :func:`_closed_form_vector`, variable c :func:`_split_vector`.
+    A zero ``rhs`` returns u = 0, bound 0.  With ``bounded`` false the bound
+    reads None and only a breakdown, or a modal denominator within its
+    rounding, raises ResonanceError.
+    """
+    if not np.any(np.asarray(rhs, dtype=np.float64)[1:-1]):
+        return np.zeros(op.grid.n + 1), 0.0
+    modes = _constant_modes(op.p, op.c, op.grid, "solve")
+    if modes is None:
+        return _split_vector(op, rhs, bounded)
+    return _closed_form_vector(op, rhs, *modes, bounded)
+
+
+def _closed_form_vector(
+    op: OperatorMatrix, rhs: np.ndarray, denom: np.ndarray, slack: np.ndarray, bounded: bool
+) -> tuple[np.ndarray, float | None]:
+    """u = A^-1 rhs = (2 / n) S diag(1 / d_k) S rhs, S the DST-I, and its a-priori bound.
+
+    d_k and e_k come from :func:`_constant_modes`, and each S is one FFT of
+    length 2n (``spectrum._dst1``).  y = S rhs is within
+    sigma_1 = _fft_error(n, ||rhs||_2) of exact in the 2-norm, so, by
+    Cauchy-Schwarz and |d_k exact| >= |d_k| - e_k, the weights z = y / d
+    take at most sigma_1 ||1 / (|d_k| - e_k)||_2 in the 1-norm; fl(y / d)
+    and S z add :func:`_modal_error`, and the rounded factor 2 / n two
+    roundings.  So max|u - u_exact| <= (2 / n) sigma + gamma_2 / (1 - gamma_2)
+    max|u|, sigma the sum of the first two parts.  A bound above
+    ``_KERNEL_RTOL`` raises the ResonanceError of :func:`_mode_error`.
+    """
+    n = op.grid.n
+    inner = np.asarray(rhs, dtype=np.float64)[1:-1]
+    z = _dst1(inner) / denom
+    u = np.zeros(n + 1)
+    u[1:-1] = _dst1(z) * (2.0 / n)
+    top = _max_abs(u)
+    if not bounded:
+        if not np.isfinite(top):
+            raise _resonance_error(op, "the solve breaks down; ")
+        return u, None
+    spread = _norm2(1.0 / (np.abs(denom) - slack))
+    sigma = _fft_error(n, _norm2(inner)) * spread + _modal_error(z, denom, slack)
+    error = 2.0 * sigma / n + _TINY
+    bound = _GAMMA2 / (1.0 - _GAMMA2) + error / top if top > 0.0 else np.inf
+    if not bound <= _KERNEL_RTOL:
+        raise _mode_error(op.p, op.c, op.grid, denom, slack, bound, "solve")
+    return u, bound
+
+
+def _split_vector(
+    op: OperatorMatrix, rhs: np.ndarray, bounded: bool = True
+) -> tuple[np.ndarray, float | None]:
     """A^-1 rhs on nodes 0 .. n by one transposed split solve, and its forward-error bound.
 
-    Rows 0 and n of ``rhs`` are not read, and those of u are zero.  M^T y =
-    (rhs, 0), with rhs in the u-rows, leaves A^-1 rhs in the v-rows.  The
-    bound, on max|u - u_exact| / max|u|, and its ResonanceError are those
-    of :func:`_split_solve_error`.  A zero ``rhs`` returns u = 0, bound 0.
-    With ``bounded`` false the condition estimate is skipped and the bound
-    reads None; ResonanceError is then raised only when M is singular or u
-    is not finite.
+    M^T y = (rhs, 0), with rhs in the u-rows, leaves A^-1 rhs in the
+    v-rows.  The bound, on max|u - u_exact| / max|u|, and its ResonanceError
+    are those of :func:`_split_solve_error`.  With ``bounded`` false the
+    condition estimate is skipped and the bound reads None; ResonanceError
+    is then raised only when M is singular or u is not finite.
     """
     u = np.zeros(op.grid.n + 1)
-    inner = np.asarray(rhs, dtype=np.float64)[1:-1]
-    if not np.any(inner):
-        return u, 0.0
     loads = np.zeros(2 * (op.grid.n - 1))
-    loads[0::2] = inner
+    loads[0::2] = np.asarray(rhs, dtype=np.float64)[1:-1]
     y = op._solve_split_transposed(_split_scale(op, loads))
     u[1:-1] = y[1::2]
     if bounded:
@@ -547,9 +637,9 @@ def _solve_vector(
 class SolutionField:
     """A solve result: samples, forward-error bound and provenance.
 
-    ``forward_error_bound`` is an estimated bound on max|u - u_exact| /
-    max|u| against the discrete operator L**2 + p L + C itself, as
-    ``GreensMatrix.forward_error_bound`` is for kernels.
+    ``forward_error_bound`` bounds max|u - u_exact| / max|u| against the
+    discrete operator L**2 + p L + C itself, as ``GreensMatrix``'s does for
+    kernels: a-priori for constant c, resting on a condition estimate otherwise.
     """
 
     u: ScalarField
@@ -559,11 +649,11 @@ class SolutionField:
 
 
 def direct_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionField:
-    """Solve the boundary value problem by one transposed solve on the split factors.
+    """Solve the boundary value problem: the sine transform for constant c, else the split solve.
 
     Raises :class:`~beamsign.errors.ResonanceError`, naming the nearest
-    -lambda_k, when the solve's forward-error bound exceeds 1e-3 or the
-    solve breaks down.
+    -lambda_k (and for constant c the discrete mode k), when the solve's
+    forward-error bound exceeds 1e-3 or the solve breaks down.
     """
     grid = _resolve_grid(problem.grid, grid)
     op = assemble(problem.p, problem.c, grid)
@@ -579,44 +669,11 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     responses.  For the discrete operator y_a = -G e_1 / spacing and
     y_b = -G e_{n-1} / spacing exactly, so the end moments fold into the
     weights: u = G w' with w' = spacing times the right-hand side of
-    :func:`direct_solve`.
-
-    So the sum is A^-1 rhs, with A the operator and rhs that right-hand
-    side, and it is taken in O(n) from the kernel that
-    :func:`~beamsign.greens.greens_discrete` returns, with no n x n work.
-    For variable c, G comes from the split matrix M, and the sum is the
-    split solve of :func:`direct_solve` itself.  When c is constant on the
-    interior nodes, G is its sine-transform kernel, and the sum is
-    G w' = (2 / n) S diag(1 / (beta_k + c)) S rhs, S the DST-I: two FFTs of
-    length 2n.  The test for that path, and the ResonanceError that names
-    the discrete mode when a denominator beta_k + c lies within its
-    rounding, are :func:`_constant_modes`, shared with the kernel, and come
-    first.  That sum must agree with the split solve to
-    ``_SUPERPOSITION_RTOL`` * sup|u|, or ResonanceError is raised: the check
-    makes G answer for the result.  The sum is returned, with the gap plus
-    the split solve's error as its bound.  Raises ResonanceError also under
-    the bound of :func:`direct_solve`.
+    :func:`direct_solve`.  As G = A^-1 / spacing, G w' = A^-1 rhs exactly:
+    the sum is the direct solve, with its u, its bound and its errors,
+    under the method label ``superposition``.
     """
-    grid = _resolve_grid(problem.grid, grid)
-    op = assemble(problem.p, problem.c, grid)
-    rhs = _rhs_vector(op, problem)
-    modes = _constant_modes(problem.p, problem.c, grid)
-    u, bound = _solve_vector(op, rhs)
-    if modes is not None:
-        split = u
-        # G (h w') = A^-1 rhs = (2 / n) S diag(1 / d_k) S rhs, S the DST-I
-        u = np.zeros(grid.n + 1)
-        u[1:-1] = _dst1(_dst1(rhs[1:-1]) / modes[0]) * (2.0 / grid.n)
-        gap = _max_abs(u - split)
-        scale = _max_abs(u)
-        if not gap <= _SUPERPOSITION_RTOL * scale:
-            raise _resonance_error(
-                op,
-                f"the kernel sum G (h w) + d1 y_a + d2 y_b misses the split solve by "
-                f"{gap:.3e} > {_SUPERPOSITION_RTOL:g} * sup|u| = {_SUPERPOSITION_RTOL * scale:.3e}; ",
-            )
-        bound = (gap + bound * _max_abs(split)) / scale if scale > 0.0 else 0.0
-    return SolutionField(ScalarField(grid, u), bound, "superposition", 0)
+    return replace(direct_solve(problem, grid), method="superposition")
 
 
 @dataclass(eq=False)
@@ -642,9 +699,9 @@ def fixed_point_solve(
     In ``positive`` mode the frozen coefficient is d = min{c, -lambda2}, in
     ``negative`` mode d = max{c, -lambda3}, which keeps every iterate on the
     sign-definite side while the correction term c - d contracts.  Each step
-    is one split solve with T[p, d] (see :func:`direct_solve`), which keeps
-    c - d to one rounding, so the iterates converge to the solution of the
-    discrete operator with c itself.
+    is one solve with T[p, d] on the path of :func:`direct_solve`, which
+    never rounds c - d against a spacing**-4 term, so the iterates converge
+    to the solution of the discrete operator with c itself.
 
     The iteration stops once the sup-norm step is below ``tol`` and the
     forward-error bound of u_k is within 1e-3 of sup|u_k|; when d = c the
@@ -652,8 +709,8 @@ def fixed_point_solve(
     Otherwise, as step ratios can sit below the contraction, the bound comes
     from one more solve, with c itself, at the first step below ``tol``:
     max|u_k - u_c| plus that solve's bound.  That solve takes the run's one
-    condition estimate; the steps with T[p, d] take none.  The largest
-    observed step ratio is reported as the contraction ratio.  It raises
+    condition estimate, none for constant c; the steps with T[p, d] take
+    none.  The largest observed step ratio is the contraction ratio.  It raises
     :class:`~beamsign.errors.ConvergenceError`, with the bound in the
     message when the steps met ``tol``, when ``max_iter`` steps do not get
     there, and ResonanceError where :func:`direct_solve` would with c, and
@@ -800,14 +857,26 @@ def operator_norm_bound(f: ScalarField, p: float, interval) -> float:
 
 
 def rhs_norm_bound(h: ScalarField, p: float, interval, r_min: float = 0.0) -> float:
-    """Bound sqrt(L / (lambda_1 + r_min)) * sup|h| on the solution sup-norm."""
+    """A bound K sup|h| on sup|u| for T[p, c] u = h with hinged ends and c >= r_min.
+
+    K = (L**2 / sqrt(48)) / sqrt(lambda_1 + r_min) for r_min >= 0, and
+    (L**2 / sqrt(48)) sqrt(lambda_1) / (lambda_1 + r_min) for
+    -lambda_1 < r_min < 0, L the interval length.  Testing the equation
+    with u gives ||u''||_2 <= ||h||_2 / sqrt(lambda_1 + r_min), or
+    ||h||_2 sqrt(lambda_1) / (lambda_1 + r_min) when r_min < 0, with
+    ||h||_2 <= sqrt(L) sup|h|; and sup|u| <= sqrt(L**3 / 48) ||u''||_2,
+    from the Green's function of -d**2/dt**2 with u(a) = u(b) = 0.  At
+    p = 0, c = 0 and h = 1 the exact sup|u| is 5 L**4 / 384, 0.89 times
+    the bound.
+    """
     if h.grid.interval != interval:
         raise ValueError("h is not sampled on the given interval")
     lam1 = lambda_k(p, interval, 1)
     denom = lam1 + r_min
     if denom <= 0:
         raise ValueError(f"lambda_1 + r_min must be positive, got {denom}")
-    return float(np.sqrt(interval.length / denom) * sup_norm(h))
+    energy = (1.0 / math.sqrt(denom) if r_min >= 0 else math.sqrt(lam1) / denom) / math.sqrt(48.0)
+    return _finite("rhs_norm_bound", p, interval, lambda: interval.length**2 * energy * sup_norm(h))
 
 
 def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 500) -> float:

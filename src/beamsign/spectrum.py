@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RootSearchError
-from .fields import Grid, Interval, ScalarField, extrema, require_p
+from .fields import Grid, Interval, require_p
 
 __all__ = [
     "SpectralData",
@@ -41,10 +41,8 @@ __all__ = [
     "lambda2",
     "lambda3",
     "delta1",
-    "delta1_alt",
     "delta2",
     "nearest_mode",
-    "resonance_check",
 ]
 
 _SQRT_MAX = math.sqrt(sys.float_info.max)
@@ -216,19 +214,6 @@ def delta1(p: float, interval: Interval) -> float:
     return _finite("delta1", p, interval, lambda: max(4.0 * p / L, 4.0 * np.pi**2 / L**3))
 
 
-def delta1_alt(p: float, interval: Interval) -> float:
-    """Variant reading of delta1 with the zero-p branch scaled by L^(3/2).
-
-    All bounds in this package use :func:`delta1`, whose L^3 scaling is the
-    one consistent with the norm inequality it certifies.  This variant is
-    reported alongside it by the command line front end whenever the two
-    differ, i.e. whenever L != 1.
-    """
-    require_p(p)
-    L = interval.length
-    return _finite("delta1_alt", p, interval, lambda: max(4.0 * p / L, 4.0 * np.pi**2 / L**1.5))
-
-
 def delta2(p: float, interval: Interval, c_m: float) -> float:
     """Uniqueness margin min{ -1 - c_m/lambda_1, 1 + c_m/lambda_1' }.
 
@@ -265,13 +250,6 @@ def nearest_mode(p: float, interval: Interval, c_min: float, c_max: float) -> tu
         if gap < best_gap:
             best_k, best_gap = k, gap
     return best_k, best_gap
-
-
-def resonance_check(c: ScalarField, p: float, interval: Interval) -> bool:
-    """True when no -lambda_k lies inside the closed range of c."""
-    if c.grid.interval != interval:
-        raise ValueError("c is not sampled on the given interval")
-    return nearest_mode(p, interval, *extrema(c))[1] > 0.0
 
 
 @dataclass(frozen=True)

@@ -49,13 +49,16 @@ def test_spectrum_prints_the_thresholds(capsys):
     assert abs(float(values["lambda2"]) + 950.8842701244664) < 1e-6
     assert abs(float(values["lambda3"]) - 237.72106753111677) < 1e-6
     assert abs(float(values["delta1"]) - 4.0 * np.pi**2) < 1e-12
-    assert "delta1_alt" not in values
+    assert list(values) == [
+        "p", "interval", "lambda1", "lambda1_prime", "lambda2", "lambda3", "delta1",
+    ]
 
 
-def test_spectrum_reports_both_delta1_readings_when_they_differ(capsys):
+def test_spectrum_prints_one_delta1_reading_on_every_interval(capsys):
     assert run(["spectrum", "--p", "0", "--a", "0", "--b", "2"]) == 0
     out = capsys.readouterr().out
-    assert "delta1_alt" in out
+    assert out.count("delta1") == 1
+    assert f"delta1         = {4.0 * np.pi**2 / 8.0!r}\n" in out
 
 
 def test_check_reports_the_rule(tmp_path, capsys):
@@ -166,7 +169,12 @@ def test_exit_code_for_usage_errors(capsys):
 
 
 def test_exit_code_for_resonance(tmp_path, capsys):
-    path = write_problem(tmp_path, BASE.format(c=repr(-np.pi**4)))
+    # c on the discrete eigenvalue -beta_1 of the default grid, n = 400; the
+    # continuous -pi^4 lies 1e-3 from it and solves
+    from beamsign.spectrum import _discrete_beta
+
+    beta = _discrete_beta(0.0, beamsign.Grid(beamsign.Interval(0.0, 1.0), 400))[1]
+    path = write_problem(tmp_path, BASE.format(c=repr(-float(beta[0]))))
     assert run(["solve", str(path), "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: numerical:")
@@ -444,7 +452,6 @@ def test_tiny_interval_is_an_input_error(tmp_path, capsys):
         "lambda2        = -9.50884270124467e+242\n"
         "lambda3        = 2.3772106753111673e+242\n"
         "delta1         = 3.947841760435744e+181\n"
-        "delta1_alt     = 3.9478417604357434e+91  # variant reading with (b-a)^(3/2) scaling\n"
     )
 
 

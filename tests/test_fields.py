@@ -10,7 +10,6 @@ from beamsign import (
     ProblemSpec,
     ScalarField,
     diff,
-    energy_norm,
     extrema,
     integrate,
     l2_norm,
@@ -201,21 +200,6 @@ def test_diff_composition_matches_second_derivative():
     second = diff(u, 2).values
     gap = np.max(np.abs(twice[2:-2] - second[2:-2]))
     assert gap < 5e-4 * np.max(np.abs(second))
-
-
-def test_energy_norm():
-    g = Grid(UNIT, 400)
-    zero = ScalarField.constant(g, 0.0)
-    assert energy_norm(zero, 0.0, zero) == 0.0
-    sin = ScalarField.from_function(g, lambda t: np.sin(np.pi * t))
-    assert abs(energy_norm(sin, 0.0, zero) - np.pi**2 / np.sqrt(2.0)) < 1e-2
-    assert abs(energy_norm(sin, 1.0, zero) - np.sqrt(np.pi**4 / 2 + np.pi**2 / 2)) < 1e-2
-    with pytest.raises(ValueError):
-        energy_norm(sin, -1.0, zero)
-    with pytest.raises(ValueError):
-        energy_norm(sin, 0.0, ScalarField.constant(g, -1.0))
-    with pytest.raises(ValueError):
-        energy_norm(sin, 0.0, ScalarField.constant(Grid(UNIT, 200), 0.0))
 
 
 def test_wirtinger_chain_on_sine_series():

@@ -7,17 +7,17 @@ EXPORTED = {
     "OperatorMatrix", "ProblemSpec", "ResonanceError", "RootSearchError", "ScalarField",
     "SignCertificate", "SolutionField", "SpectralData", "Verdict", "__version__", "assemble",
     "char_roots", "check_amp_negative_h", "check_amp_positive_h", "check_corollary",
-    "check_thm_negative", "check_thm_positive", "delta1", "delta1_alt", "delta2", "diff",
-    "direct_solve", "energy_norm", "extrema", "fixed_point_solve", "greens_constant",
+    "check_thm_negative", "check_thm_positive", "delta1", "delta2", "diff",
+    "direct_solve", "extrema", "fixed_point_solve", "greens_constant",
     "greens_discrete", "integrate", "l2_norm", "lambda2", "lambda3", "lambda_k", "nearest_mode",
-    "operator_norm_bound", "parse_expression", "resonance_check", "rhs_norm_bound",
+    "operator_norm_bound", "parse_expression", "rhs_norm_bound",
     "sign_certificate", "sign_scan", "smallest_eigenvalue", "split_signs", "sup_norm",
     "superposition_solve", "verdict", "y_boundary",
 }
 
 
 def test_package_exports_are_pinned_and_resolve():
-    assert len(EXPORTED) == 55
+    assert len(EXPORTED) == 52
     assert len(beamsign.__all__) == len(set(beamsign.__all__))
     assert set(beamsign.__all__) == EXPORTED
     for name in EXPORTED:
@@ -27,17 +27,20 @@ def test_package_exports_are_pinned_and_resolve():
     assert EXPORTED <= namespace.keys()
 
 
-def _modules_loaded_by(code):
-    # the beamsign modules a fresh interpreter holds after running ``code``
+def _modules_loaded_by(code, package="beamsign"):
+    # the modules of ``package`` a fresh interpreter holds after running ``code``
     import os
     import subprocess
     import sys
 
     src = os.path.dirname(os.path.dirname(beamsign.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    script = code + "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('beamsign'))))"
+    script = code + (
+        "\nimport sys\n"
+        f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
+    )
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return out.stdout.splitlines()[-1].split()  # the last line: what the code prints comes first
 
 
 def test_imports_load_only_what_a_call_uses():
@@ -61,3 +64,21 @@ def test_the_lazy_name_table_matches_each_module():
     # submodules resolve as attributes, as they did when the package imported them all
     assert beamsign.solver is importlib.import_module("beamsign.solver")
     assert "verdict" in dir(beamsign)
+
+
+def test_only_a_factorization_loads_lapack(tmp_path):
+    # a constant-c sweep solves by the sine transform and loads no scipy at
+    # all; a variable-c verify factors the split system, which loads LAPACK
+    problem = tmp_path / "problem.txt"
+    text = "interval.a = 0\ninterval.b = 1\np = 0\nh.kind = constant\nh.value = 1\ngrid.n = 200\n"
+    problem.write_text(text + "c.kind = constant\nc.value = 0\n")
+    sweep = ["sweep", str(problem), "--param", "c", "--from", "-500", "--to", "500", "--steps", "5",
+             "--out", str(tmp_path / "sweep.csv")]
+    loaded = _modules_loaded_by(f"from beamsign.cli import run\nassert run({sweep!r}) == 0", "scipy")
+    assert loaded == []
+    varying = tmp_path / "varying.txt"
+    varying.write_text(text + "c.kind = expression\nc.expr = 40 + 30*sin(pi*t)\n")
+    verify = ["verify", str(varying)]
+    loaded = _modules_loaded_by(f"from beamsign.cli import run\nassert run({verify!r}) == 0", "scipy")
+    assert "scipy.linalg._flapack" in loaded
+    assert "scipy.linalg" not in loaded

@@ -11,13 +11,11 @@ from beamsign.errors import RootSearchError
 from beamsign.spectrum import (
     SpectralData,
     delta1,
-    delta1_alt,
     delta2,
     lambda2,
     lambda3,
     lambda_k,
     nearest_mode,
-    resonance_check,
 )
 
 UNIT = Interval(0.0, 1.0)
@@ -103,8 +101,6 @@ def test_delta1_examples():
     assert delta1(10.0, UNIT) == 40.0
     two = Interval(0.0, 2.0)
     assert abs(delta1(0.0, two) - 4.0 * np.pi**2 / 8.0) < 1e-12
-    assert delta1_alt(0.0, UNIT) == delta1(0.0, UNIT)
-    assert abs(delta1_alt(0.0, two) - 4.0 * np.pi**2 / 2.0**1.5) < 1e-12
 
 
 def test_delta2_values_and_window():
@@ -127,18 +123,6 @@ def test_delta2_values_and_window():
         delta2(0.0, UNIT, -lam1p)
     with pytest.raises(ValueError):
         delta2(0.0, UNIT, -50.0)
-
-
-def test_resonance_check():
-    g = Grid(UNIT, 64)
-    assert resonance_check(ScalarField.constant(g, 0.0), 0.0, UNIT)
-    assert not resonance_check(ScalarField.constant(g, -np.pi**4), 0.0, UNIT)
-    spanning = ScalarField(g, np.linspace(-900.0, -200.0, g.n + 1))
-    assert resonance_check(spanning, 0.0, UNIT)
-    second = ScalarField.constant(g, -lambda_k(0.0, UNIT, 2))
-    assert not resonance_check(second, 0.0, UNIT)
-    with pytest.raises(ValueError):
-        resonance_check(ScalarField.constant(g, 0.0), 0.0, Interval(0.0, 2.0))
 
 
 def test_spectral_data_compute_is_consistent():
