@@ -21,11 +21,11 @@ from .errors import ResonanceError
 from .fields import Grid, ScalarField, require_p
 from .solver import (
     _GAMMA3,
+    _GAMMA36,
     _KERNEL_RTOL,
     _TINY,
     _U,
     OperatorMatrix,
-    _constant_modes,
     _max_abs,
     _modal_error,
     _mode_error,
@@ -128,8 +128,9 @@ def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> Greens
     """Series kernel (2/L) sum_k sin(k pi x/L) sin(k pi y/L) / (lambda_k + m).
 
     Requires at least 50 terms and a truncation order past the last sign
-    change of the modal denominators.  A denominator within 1e-9 of zero is
-    reported as resonance.
+    change of the modal denominators.  A denominator lambda_k + m within
+    gamma_36 (lambda_k + |m|) of zero, the slack of the discrete kernel's
+    beta_k + c, is reported as resonance.
     """
     require_p(p)
     if terms < 50:
@@ -139,8 +140,9 @@ def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> Greens
     w = k * np.pi / L
     lam = w**4 + p * w**2
     denom = lam + m
-    j = int(np.argmin(np.abs(denom)))
-    if abs(denom[j]) < 1e-9:
+    resonant = np.abs(denom) <= _GAMMA36 * (lam + abs(m))  # the slack of beta_k + c
+    if np.any(resonant):
+        j = int(np.argmax(resonant))
         raise ResonanceError(
             f"m = {m} is resonant: lambda_{j + 1} + m = {denom[j]:.3e}",
             nearest_eigenvalue=-float(lam[j]),
@@ -173,11 +175,10 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
 
     When c is constant on the interior nodes (its end values never enter
     A), the DST-I diagonalises A and G is its sine transform in closed form
-    (:func:`_closed_form_kernel`): one FFT, no factorization.  Otherwise
-    the columns are solved on the split system (:func:`_split_kernel`).
-    The closed form is skipped also on intervals so long that mu_1 falls
-    below 2**-511 (lengths above about 2.5e77), where its rounding bound
-    would meet underflow.
+    (:func:`_closed_form_kernel`): one FFT, no factorization.  Otherwise,
+    and on intervals too long for the closed form's bound (see
+    ``OperatorMatrix._modes``), the columns are solved on the split system
+    (:func:`_split_kernel`).
 
     The returned ``forward_error_bound`` bounds max|G - G_exact| / max|G|
     against the exact kernel of A with h = ``grid.spacing``.  When it
@@ -185,17 +186,14 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     :class:`~beamsign.errors.ResonanceError`, with the bound in its message.
     A ValueError reports an interval so short that A leaves float64.
     """
-    grid = _resolve_grid(c.grid, grid)
-    require_p(p)
-    modes = _constant_modes(p, c, grid, "kernel")
+    op = assemble(p, c, grid)
+    modes = op._modes("kernel")
     if modes is not None:
-        return _closed_form_kernel(p, c, grid, *modes)
-    return _split_kernel(assemble(p, c, grid))
+        return _closed_form_kernel(op, *modes)
+    return _split_kernel(op)
 
 
-def _closed_form_kernel(
-    p: float, c: ScalarField, grid: Grid, denom: np.ndarray, slack: np.ndarray
-) -> GreensMatrix:
+def _closed_form_kernel(op: OperatorMatrix, denom: np.ndarray, slack: np.ndarray) -> GreensMatrix:
     """G[i, j] = (S[|i - j|] - S[i + j]) / L with S[d] = sum_k cos(k d pi / n) / (beta_k + c).
 
     Here L is the interval length.  A = Q diag(beta_k + c) Q with Q[i, k] =
@@ -203,7 +201,7 @@ def _closed_form_kernel(
     (2 / L) sum_k sin(k i pi / n) sin(k j pi / n) / (beta_k + c) that
     :func:`_cosine_kernel` sums, with c the interior value and ``denom``
     the computed d_k = beta_k + c and ``slack`` its bound e_k from
-    ``solver._constant_modes``, which has already raised where e_k >= |d_k|.
+    ``OperatorMatrix._modes``, which has already raised where e_k >= |d_k|.
 
     The forward-error bound is a-priori, evaluated in float64: the weights
     w_k = fl(1 / d_k) and the FFT that sums them move every S[d] by at most
@@ -212,10 +210,11 @@ def _closed_form_kernel(
     three relative roundings, so G computed is within gamma_3 / (1 - gamma_3)
     max|G| plus 2 sigma / (L (1 - u)) of G exact.
     """
+    grid = op.grid
     n = grid.n
     L = grid.interval.length
     # every weight, and so every sum of them, stays finite
-    _finite("the discrete kernel", p, grid.interval, lambda: 4.0 * n / float(np.min(np.abs(denom))))
+    _finite("the discrete kernel", op.p, grid.interval, lambda: 4.0 * n / float(np.min(np.abs(denom))))
     folded = np.zeros(2 * n)
     w = folded[1:n]
     np.divide(1.0, denom, out=w)
@@ -225,7 +224,7 @@ def _closed_form_kernel(
     error = 2.0 * sigma / (L * (1.0 - _U)) + _TINY
     bound = _GAMMA3 / (1.0 - _GAMMA3) + error / top if top > 0.0 else np.inf
     if not bound <= _KERNEL_RTOL:
-        raise _mode_error(p, c, grid, denom, slack, bound, "kernel")
+        raise _mode_error(op, denom, slack, bound, "kernel")
     return GreensMatrix(grid, vals, forward_error_bound=bound)
 
 

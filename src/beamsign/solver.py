@@ -8,18 +8,15 @@ elimination, which keeps the matrix pentadiagonal and, for d1 = d2 = 0, keeps
 the interior block symmetric.  Every right-hand side built here vanishes in
 rows 0 and n, so the end values are exactly zero and only the interior block
 A = L**2 + p L + C matters (L the Dirichlet second-difference matrix, C =
-diag(c)).  ``assemble`` stores the operator as a float64 band, which
-``OperatorMatrix.apply`` and the inverse iteration of ``smallest_eigenvalue``
-use.  Its diagonal 6/spacing**4 + 2 p/spacing**2 + c rounds c away at large
-n, by up to u 6/spacing**4 (1.1e-2 at n = 2000 on [0, 1], u = 2**-53), so a
-solve on it converges to the rounded band, not to A.
+diag(c)).  ``assemble`` only validates and records (p, c, grid).
 
-Every other solve takes one of two paths, by the kind of c, and neither
-touches the band.  For c constant on the interior nodes the DST-I S
-diagonalises A, with eigenvalues beta_k + c (``_constant_modes``): a kernel
-is a sine transform (``greens._closed_form_kernel``) and a vector solve is
-u = (2 / n) S diag(1 / (beta_k + c)) S rhs (``_closed_form_vector``), with
-a-priori bounds from ``_modal_error``; neither factors or loads LAPACK.
+Every solve takes one of two paths, by the kind of c, decided once per
+operator at its first solve (``OperatorMatrix._modes``) and kept.  For c
+constant on the interior nodes the DST-I S diagonalises A, with eigenvalues
+beta_k + c: a kernel is a sine transform (``greens._closed_form_kernel``)
+and a vector solve is u = (2 / n) S diag(1 / (beta_k + c)) S rhs
+(``_closed_form_vector``), with a-priori bounds from ``_modal_error``;
+neither factors or loads LAPACK.
 
 For variable c the solves run on the split system M: with v = L u, each
 interior equation is L u - v = 0 and L v + p v + c u = f, the unknowns are
@@ -50,6 +47,11 @@ starting at j needs only the rows from 2 j on, and those come from the
 trailing part of the same factors (see ``_solve_split_transposed``), bit for
 bit as a full solve would give them.
 
+The rounded pentadiagonal band (``OperatorMatrix.band``) is built only when
+read, by ``OperatorMatrix.apply`` and ``smallest_eigenvalue``; its diagonal
+6/spacing**4 + 2 p/spacing**2 + c loses up to u 6/spacing**4 of c (1.1e-2 at
+n = 2000 on [0, 1], u = 2**-53).
+
 LAPACK comes from scipy's compiled ``scipy.linalg._flapack`` extension, which
 is loaded directly at the first factorization (see ``_lapack``).  Importing
 ``scipy.linalg`` would load the same extension and, with it, a few hundred
@@ -77,6 +79,7 @@ from .spectrum import (
     _discrete_top,
     _dst1,
     _finite,
+    _overflow,
     delta1,
     lambda_k,
     nearest_mode,
@@ -159,45 +162,77 @@ def _lapack():
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """Pentadiagonal matrix of the discrete operator in banded (2, 2) storage.
+    """The discrete operator of u'''' - p u'' + c(t) u on ``grid``, and what its solves keep.
 
-    ``band[2 + i - j, j]`` holds the matrix entry A[i, j].  Rows 0 and n are
-    the boundary value conditions; rows 1 and n - 1 carry the ghost-eliminated
-    stencils encoding the end moment conditions (their d1/d2 data lands on the
-    right-hand side, not in the matrix).  The LU factors of the split system
-    (see the module docstring) are computed at the first split solve and
-    kept for every later one, and so are both their forward-error bounds at
-    their first read; those of the band's interior block, which only
-    :func:`smallest_eigenvalue` solves with, at its first step.
+    Its solve path is decided at the first solve (:meth:`_modes`) and kept,
+    with what that path needs: the modal denominators of the sine transform
+    for c constant on the interior nodes, else the LU factors of the split
+    system (see the module docstring) and, at their first read, both their
+    forward-error bounds.  The rounded :attr:`band` is built at each read.
     """
 
     grid: Grid
     p: float
     c: ScalarField
-    band: np.ndarray
-    _band_ld: np.ndarray | None = field(default=None, repr=False)
-    _lu: tuple | None = field(default=None, repr=False)
+    _modal: tuple | None = field(default=None, repr=False)
     _split: tuple | None = field(default=None, repr=False)
     _split_bound: float | None = field(default=None, repr=False)
     _split_bound_equilibrated: float | None = field(default=None, repr=False)
 
-    def band_extended(self) -> np.ndarray:
-        if self._band_ld is None:
-            self._band_ld = self.band.astype(np.longdouble)
-        return self._band_ld
+    @property
+    def band(self) -> np.ndarray:
+        """The pentadiagonal matrix in banded (2, 2) storage, built at each read.
 
-    def _solve_interior(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve of a vector ``rhs`` of n - 1 rows with the band's interior block, in float64."""
-        lapack = _lapack()  # loaded at the first solve, without scipy.linalg
-        if self._lu is None:
-            ab = np.zeros((7, self.grid.n - 1), order="F")
-            ab[2:] = self.band[:, 1:-1]  # gbtrf keeps two extra rows for fill-in
-            lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
-            if info != 0:
-                raise _resonance_error(self)
-            self._lu = (lu, piv)
-        lu, piv = self._lu
-        return lapack.dgbtrs(lu, 2, 2, rhs, piv)[0]
+        ``band[2 + i - j, j]`` holds A[i, j].  Rows 0 and n are the boundary
+        value conditions; rows 1 and n - 1 carry the ghost-eliminated
+        stencils of the end moments, whose d1/d2 data goes to the right-hand side.
+        """
+        n, p = self.grid.n, self.p
+        inv4, inv2 = self.grid.spacing**-4, self.grid.spacing**-2
+        band = np.zeros((5, n + 1))
+        cv = np.asarray(self.c.values, dtype=np.float64)
+        band[2, 1:n] = 6.0 * inv4 + 2.0 * p * inv2 + cv[1:n]
+        band[2, 1] -= inv4
+        band[2, n - 1] -= inv4
+        band[2, 0] = band[2, n] = 1.0
+        band[1, 2:] = band[3, : n - 1] = -4.0 * inv4 - p * inv2  # A[i, i + 1], A[i, i - 1]
+        band[1, n] = band[3, 0] = -2.0 * inv4 - p * inv2  # after ghost elimination
+        band[0, 3:] = band[4, : n - 2] = inv4  # A[i, i + 2], A[i, i - 2]
+        return band
+
+    def _modes(self, subject: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """The modal denominators d_k = beta_k + c and their slack e_k, or None to split.
+
+        The DST-I diagonalises A = L**2 + p L + c I when c is constant on
+        the interior nodes (its end values never enter A), with eigenvalues
+        d_k from :func:`~beamsign.spectrum._discrete_beta`; a c that varies
+        there, or mu_1 < 2**-511 (intervals above about 2.5e77, where the
+        closed-form bounds would meet underflow), takes the split path.
+        e_k = gamma_36 (beta_k + |c|) bounds the rounding of d_k: mu_k is
+        within gamma_15, beta_k = mu_k (mu_k + p) within gamma_32 (p >= 0)
+        and d_k within gamma_33 (beta_k + |c|).  Decided at the first call
+        and kept; raises the ResonanceError of :func:`_mode_error`, naming
+        ``subject``, when e_k >= |d_k| for some k.
+        """
+        if self._modal is None:
+            inner = np.asarray(self.c.values, dtype=np.float64)[1:-1]
+            modal = ()
+            if np.all(inner == inner[0]):
+                mu, beta = _discrete_beta(self.p, self.grid)
+                if mu[0] >= _MU_MIN:
+                    cv = float(inner[0])
+                    # beta_k + |c|, and with it beta_k + c, stays finite
+                    _finite("the discrete kernel", self.p, self.grid.interval,
+                            lambda: float(beta[-1]) + abs(cv))
+                    denom, slack = beta + cv, _GAMMA36 * (beta + abs(cv))
+                    modal = (denom, slack, not np.all(np.abs(denom) > slack))
+            self._modal = modal
+        if not self._modal:
+            return None
+        denom, slack, resonant = self._modal
+        if resonant:
+            raise _mode_error(self, denom, slack, np.inf, subject)
+        return denom, slack
 
     def _split_factors(self) -> tuple:
         # (lu, piv, ||M||_1, info) of the split matrix M, factored at the first call
@@ -255,43 +290,24 @@ class OperatorMatrix:
         return _lapack().dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0]
 
     def apply(self, values) -> np.ndarray:
-        """A @ values in the dtype of ``values`` (rows 0 and n return u(a), u(b))."""
+        """A @ values on the band, built in the dtype of ``values`` (rows 0, n: u(a), u(b))."""
         u = np.asarray(values)
         if u.dtype.kind != "f":
             u = u.astype(np.float64)
         if u.shape[0] != self.grid.n + 1:
             raise ValueError(f"expected {self.grid.n + 1} samples, got {u.shape[0]}")
-        band = self.band_extended() if u.dtype == np.longdouble else self.band
-        return _band_matvec(band, u)
+        return _band_matvec(self.band.astype(np.result_type(u, np.float64), copy=False), u)
 
 
 def assemble(p: float, c: ScalarField, grid: Grid | None = None) -> OperatorMatrix:
-    """Banded matrix of u'''' - p u'' + c(t) u with the hinged end rows.
+    """Check and record the discrete operator of u'''' - p u'' + c(t) u with hinged ends.
 
     Raises ValueError when the interval is so short that the operator leaves float64.
     """
     grid = _resolve_grid(c.grid, grid)
     require_p(p)
     _discrete_top(p, grid)
-    n = grid.n
-    dx = grid.spacing
-    inv4 = dx**-4
-    inv2 = dx**-2
-    cv = np.asarray(c.values, dtype=np.float64)
-
-    band = np.zeros((5, n + 1))
-    band[2, 1:n] = 6.0 * inv4 + 2.0 * p * inv2 + cv[1:n]
-    band[2, 1] -= inv4
-    band[2, n - 1] -= inv4
-    band[1, 2 : n + 1] = -4.0 * inv4 - p * inv2   # A[i, i+1], i = 1 .. n-1
-    band[1, n] = -2.0 * inv4 - p * inv2           # A[n-1, n] after ghost elimination
-    band[3, 0 : n - 1] = -4.0 * inv4 - p * inv2   # A[i, i-1], i = 1 .. n-1
-    band[3, 0] = -2.0 * inv4 - p * inv2           # A[1, 0] after ghost elimination
-    band[0, 3 : n + 1] = inv4                     # A[i, i+2], i = 1 .. n-2
-    band[4, 0 : n - 2] = inv4                     # A[i, i-2], i = 2 .. n-1
-    band[2, 0] = 1.0
-    band[2, n] = 1.0
-    return OperatorMatrix(grid=grid, p=float(p), c=c, band=band)
+    return OperatorMatrix(grid=grid, p=float(p), c=c)
 
 
 def _split_band(op: OperatorMatrix) -> np.ndarray:
@@ -465,48 +481,13 @@ def _resonance_error(op: OperatorMatrix, cause: str = "") -> ResonanceError:
     )
 
 
-def _constant_modes(
-    p: float, c: ScalarField, grid: Grid, subject: str
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The modal denominators d_k = beta_k + c and their slack, when the sine transform applies.
-
-    The DST-I diagonalises the interior block A = L**2 + p L + c I when c is
-    constant on the interior nodes (its end values never enter A), with
-    eigenvalues d_k = beta_k + c, k = 1 .. n - 1, from
-    :func:`~beamsign.spectrum._discrete_beta`.  Returns None when c varies
-    there, or when mu_1 < 2**-511 (intervals longer than about 2.5e77),
-    where the closed-form bounds would meet underflow.
-
-    Otherwise returns d_k and the slack e_k = gamma_36 (beta_k + |c|), which
-    bounds the rounding of the computed d_k: mu_k is within gamma_15,
-    beta_k = mu_k (mu_k + p) within gamma_32 (p >= 0) and d_k within
-    gamma_33 (beta_k + |c|).  Raises the ResonanceError of
-    :func:`_mode_error`, naming ``subject``, when e_k >= |d_k| for some k.
-    """
-    inner = np.asarray(c.values, dtype=np.float64)[1:-1]
-    if not np.all(inner == inner[0]):
-        return None
-    mu, beta = _discrete_beta(p, grid)
-    if mu[0] < _MU_MIN:
-        return None
-    cv = float(inner[0])
-    # beta_k + |c|, and with it beta_k + c, stays finite
-    _finite("the discrete kernel", p, grid.interval, lambda: float(beta[-1]) + abs(cv))
-    denom = beta + cv
-    slack = _GAMMA36 * (beta + abs(cv))
-    if not np.all(np.abs(denom) > slack):
-        raise _mode_error(p, c, grid, denom, slack, np.inf, subject)
-    return denom, slack
-
-
 def _mode_error(
-    p: float, c: ScalarField, grid: Grid, denom: np.ndarray, slack: np.ndarray, bound: float,
-    subject: str,
+    op: OperatorMatrix, denom: np.ndarray, slack: np.ndarray, bound: float, subject: str
 ) -> ResonanceError:
     # a closed-form bound missed: name the mode nearest its own rounding
     k = int(np.argmin(np.abs(denom) / slack))
     return _resonance_error(
-        assemble(p, c, grid),
+        op,
         f"the {subject}'s forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g} "
         f"(discrete mode k = {k + 1}: beta_k + c = {denom[k]:.3e}); ",
     )
@@ -529,7 +510,7 @@ def _modal_error(w: np.ndarray, denom: np.ndarray, slack: np.ndarray) -> float:
     """A bound on each entry's error of sum_k w_k phi_k, |phi_k| <= 1, taken by one FFT.
 
     The weights w_k = fl(y_k / d_k) divide by the modal denominators of
-    :func:`_constant_modes` (y_k = 1 for a kernel).  As |d_k - d_k exact|
+    :meth:`OperatorMatrix._modes` (y_k = 1 for a kernel).  As |d_k - d_k exact|
     <= e_k < |d_k|, each is within rho_k |w_k|, rho_k = (e_k / (|d_k| - e_k)
     + u) / (1 - u), or 2**-1074 where it underflows, of y_k / d_k exact; the
     FFT of length 2n that sums them adds :func:`_fft_error` of ||w||_2,
@@ -558,30 +539,45 @@ def _rhs_vector(op: OperatorMatrix, problem: ProblemSpec) -> np.ndarray:
 def _solve_vector(
     op: OperatorMatrix, rhs: np.ndarray, bounded: bool = True
 ) -> tuple[np.ndarray, float | None]:
-    """A^-1 rhs on nodes 0 .. n and its bound on max|u - u_exact| / max|u|, by the kind of c.
+    """A^-1 rhs on nodes 0 .. n and its bound on max|u - u_exact| / max|u|, on ``op``'s path.
 
-    Rows 0 and n of ``rhs`` are not read, and those of u are zero.  Constant
-    c takes :func:`_closed_form_vector`, variable c :func:`_split_vector`.
-    A zero ``rhs`` returns u = 0, bound 0.  With ``bounded`` false the bound
-    reads None and only a breakdown, or a modal denominator within its
-    rounding, raises ResonanceError.
+    Rows 0 and n of ``rhs`` are not read, and those of u are zero.  The load
+    is solved scaled by a power of two to max|rhs| in [1/2, 1), which moves
+    no bit of a solve that neither overflows nor underflows, and u is scaled
+    back; a u beyond float64 is the "overflows float64" ValueError.  A zero
+    ``rhs`` returns u = 0, bound 0.  With ``bounded`` false the bound reads
+    None and only a breakdown, which a u beyond float64 then counts as, or
+    a modal denominator within its rounding, raises ResonanceError.
     """
-    if not np.any(np.asarray(rhs, dtype=np.float64)[1:-1]):
-        return np.zeros(op.grid.n + 1), 0.0
-    modes = _constant_modes(op.p, op.c, op.grid, "solve")
+    inner = np.asarray(rhs, dtype=np.float64)[1:-1]
+    top = _max_abs(inner)
+    u = np.zeros(op.grid.n + 1)
+    if top == 0.0:
+        return u, 0.0
+    exponent = math.frexp(top)[1]  # 0 for an inf or nan load, which is left as it is
+    load = np.ldexp(inner, -exponent)
+    modes = op._modes("solve")
     if modes is None:
-        return _split_vector(op, rhs, bounded)
-    return _closed_form_vector(op, rhs, *modes, bounded)
+        x, bound = _split_vector(op, load, bounded)
+    else:
+        x, bound = _closed_form_vector(op, load, *modes, bounded)
+    with np.errstate(over="ignore"):
+        u[1:-1] = np.ldexp(x, exponent)
+    if not np.isfinite(_max_abs(u)):
+        if bound is None:
+            raise _resonance_error(op, "the solve breaks down; ")
+        raise _overflow("the solution", op.p, op.grid.interval)
+    return u, bound
 
 
 def _closed_form_vector(
-    op: OperatorMatrix, rhs: np.ndarray, denom: np.ndarray, slack: np.ndarray, bounded: bool
+    op: OperatorMatrix, load: np.ndarray, denom: np.ndarray, slack: np.ndarray, bounded: bool
 ) -> tuple[np.ndarray, float | None]:
-    """u = A^-1 rhs = (2 / n) S diag(1 / d_k) S rhs, S the DST-I, and its a-priori bound.
+    """u = A^-1 b = (2 / n) S diag(1 / d_k) S b on the interior nodes, and its a-priori bound.
 
-    d_k and e_k come from :func:`_constant_modes`, and each S is one FFT of
-    length 2n (``spectrum._dst1``).  y = S rhs is within
-    sigma_1 = _fft_error(n, ||rhs||_2) of exact in the 2-norm, so, by
+    b is the interior ``load``, S the DST-I, one FFT of length 2n
+    (``spectrum._dst1``), and d_k, e_k those of :meth:`OperatorMatrix._modes`.
+    y = S b is within sigma_1 = _fft_error(n, ||b||_2) of exact in the 2-norm, so, by
     Cauchy-Schwarz and |d_k exact| >= |d_k| - e_k, the weights z = y / d
     take at most sigma_1 ||1 / (|d_k| - e_k)||_2 in the 1-norm; fl(y / d)
     and S z add :func:`_modal_error`, and the rounded factor 2 / n two
@@ -590,40 +586,35 @@ def _closed_form_vector(
     ``_KERNEL_RTOL`` raises the ResonanceError of :func:`_mode_error`.
     """
     n = op.grid.n
-    inner = np.asarray(rhs, dtype=np.float64)[1:-1]
-    z = _dst1(inner) / denom
-    u = np.zeros(n + 1)
-    u[1:-1] = _dst1(z) * (2.0 / n)
-    top = _max_abs(u)
+    z = _dst1(load) / denom
+    u = _dst1(z) * (2.0 / n)
     if not bounded:
-        if not np.isfinite(top):
-            raise _resonance_error(op, "the solve breaks down; ")
-        return u, None
+        return u, None  # a u that is not finite is a breakdown, for _solve_vector to raise
+    top = _max_abs(u)
     spread = _norm2(1.0 / (np.abs(denom) - slack))
-    sigma = _fft_error(n, _norm2(inner)) * spread + _modal_error(z, denom, slack)
+    sigma = _fft_error(n, _norm2(load)) * spread + _modal_error(z, denom, slack)
     error = 2.0 * sigma / n + _TINY
     bound = _GAMMA2 / (1.0 - _GAMMA2) + error / top if top > 0.0 else np.inf
     if not bound <= _KERNEL_RTOL:
-        raise _mode_error(op.p, op.c, op.grid, denom, slack, bound, "solve")
+        raise _mode_error(op, denom, slack, bound, "solve")
     return u, bound
 
 
 def _split_vector(
-    op: OperatorMatrix, rhs: np.ndarray, bounded: bool = True
+    op: OperatorMatrix, load: np.ndarray, bounded: bool = True
 ) -> tuple[np.ndarray, float | None]:
-    """A^-1 rhs on nodes 0 .. n by one transposed split solve, and its forward-error bound.
+    """A^-1 b on the interior nodes by one transposed split solve, and its forward-error bound.
 
-    M^T y = (rhs, 0), with rhs in the u-rows, leaves A^-1 rhs in the
-    v-rows.  The bound, on max|u - u_exact| / max|u|, and its ResonanceError
-    are those of :func:`_split_solve_error`.  With ``bounded`` false the
-    condition estimate is skipped and the bound reads None; ResonanceError
-    is then raised only when M is singular or u is not finite.
+    M^T y = (b, 0), with the interior ``load`` b in the u-rows, leaves A^-1 b
+    in the v-rows.  The bound, on max|u - u_exact| / max|u|, and its
+    ResonanceError are those of :func:`_split_solve_error`.  With ``bounded``
+    false the condition estimate is skipped, the bound reads None, and
+    ResonanceError is raised only when M is singular or y is not finite.
     """
-    u = np.zeros(op.grid.n + 1)
     loads = np.zeros(2 * (op.grid.n - 1))
-    loads[0::2] = np.asarray(rhs, dtype=np.float64)[1:-1]
+    loads[0::2] = load
     y = op._solve_split_transposed(_split_scale(op, loads))
-    u[1:-1] = y[1::2]
+    u = y[1::2]
     if bounded:
         bound = _split_solve_error(op, _max_abs(y), _max_abs(u), "solve")
     elif op._split_factors()[3] != 0 or not np.isfinite(_max_abs(y)):
@@ -880,9 +871,10 @@ def rhs_norm_bound(h: ScalarField, p: float, interval, r_min: float = 0.0) -> fl
 
 
 def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 500) -> float:
-    """Smallest eigenvalue of the interior block by inverse power iteration.
+    """Smallest eigenvalue of the rounded band's interior block by inverse power iteration.
 
-    Each step solves w = A^-1 v for the unit vector v on the cached factors.
+    Each step solves w = A^-1 v for the unit vector v on the factors of the
+    rounded band (:attr:`OperatorMatrix.band`), built and factored per call.
     Until the vector has settled the estimate is theta = 1 / (v . w), taken
     in float64.  Once theta's relative change drops to ``tol``, or stops
     shrinking after the third step, the estimate becomes the Rayleigh
@@ -891,6 +883,13 @@ def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 
     update in rounding noise.  The iteration returns that quotient when its
     update drops below ``tol`` or stops shrinking, whichever comes first.
     """
+    band = op.band[:, 1:-1]  # the interior block
+    lapack = _lapack()  # loaded here, without scipy.linalg
+    ab = np.zeros((7, op.grid.n - 1), order="F")
+    ab[2:] = band  # gbtrf keeps two extra rows for fill-in
+    lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
+    if info != 0:
+        raise _resonance_error(op)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(op.grid.n + 1)[1:-1]  # the end components are zero
     v /= np.linalg.norm(v)
@@ -898,7 +897,7 @@ def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 
     lam = None
     prev_delta = np.inf
     for it in range(max_iter):
-        w = op._solve_interior(v)
+        w = lapack.dgbtrs(lu, 2, 2, v, piv)[0]
         norm = np.linalg.norm(w)
         if norm == 0.0 or not np.isfinite(norm):
             raise ConvergenceError("inverse power iteration broke down")
@@ -913,7 +912,7 @@ def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 
             if delta <= tol * max(1.0, abs(new)) or (it >= 3 and delta >= prev_delta):
                 if band_ld is not None:
                     return new  # settled, or at the rounding floor
-                band_ld = op.band_extended()[:, 1:-1]
+                band_ld = band.astype(np.longdouble)
                 new = _rayleigh_quotient(band_ld, w)
                 delta = np.inf
             prev_delta = delta

@@ -95,7 +95,8 @@ def _vector_solve(name, problem, **fixed_point_options):
     if name == "split":
         # the split solve that variable c takes, called on any c
         op = assemble(problem.p, problem.c, problem.grid)
-        return (*_split_vector(op, _rhs_vector(op, problem)), problem.h.values)
+        u, bound = _split_vector(op, _rhs_vector(op, problem)[1:-1])
+        return np.pad(u, 1), bound, problem.h.values
     sol = {
         "direct": direct_solve,
         "superposition": superposition_solve,

@@ -82,6 +82,20 @@ def test_greens_constant_validation():
         greens_constant(0.0, -(lambda_k(0.0, UNIT, 60) + 0.5), grid, terms=50)
 
 
+def test_greens_constant_resonance_is_relative():
+    # on [0, 1000] lambda_1 = 9.7e-11, which an absolute test took for
+    # resonance at m = 0; with p = 0 and m = 0 both kernels scale by L^3, so
+    # the series meets the discrete kernel as closely as on [0, 1]
+    errors = []
+    for length in (1.0, 1000.0):
+        grid = Grid(Interval(0.0, length), 100)
+        series = greens_constant(0.0, 0.0, grid).values / length**3
+        discrete = greens_discrete(0.0, ScalarField.constant(grid, 0.0), grid).values / length**3
+        errors.append(np.max(np.abs(series - discrete)))
+    assert errors[1] == pytest.approx(errors[0], rel=1e-9)
+    assert errors[0] < 1e-5
+
+
 def test_greens_discrete_matches_oracle_and_series():
     grid = Grid(UNIT, 200)
     c0 = ScalarField.constant(grid, 0.0)

@@ -146,7 +146,73 @@ def test_direct_solve_resonance_is_reported():
     sol = direct_solve(problem)
     assert 1e-10 < sol.forward_error_bound < 1e-9
     op = assemble(0.0, problem.c)
-    assert 1e-5 < solver._split_vector(op, solver._rhs_vector(op, problem))[1] < 1e-3
+    assert 1e-5 < solver._split_vector(op, solver._rhs_vector(op, problem)[1:-1])[1] < 1e-3
+
+
+@pytest.mark.parametrize(
+    "c_of", [lambda t: np.full_like(t, 1e-3), lambda t: 1e-3 + t], ids=["constant", "variable"]
+)
+def test_a_load_near_the_top_of_float64_is_not_resonance(c_of):
+    # h = 1e307 gives u of about 1.3e305: the load is solved scaled by a power
+    # of two, on both paths, where it overflowed in the sine transform or the
+    # split solve and raised a ResonanceError naming a mode far from c
+    grid = Grid(UNIT, 200)
+    c = ScalarField(grid, c_of(grid.nodes))
+    base = direct_solve(ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0)))
+    sol = direct_solve(ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1e307)))
+    assert np.max(np.abs(sol.u.values / 1e307 - base.u.values)) <= 1e-14 * sup_norm(base.u)
+    assert sol.forward_error_bound == pytest.approx(base.forward_error_bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("c_of", [np.zeros_like, lambda t: 1e-12 * t], ids=["constant", "variable"])
+def test_a_solution_beyond_float64_is_an_input_error(c_of):
+    # on [0, 100] with c = 0 and h = 1e303, sup|u| = 5 L^4 h / 384, about
+    # 1.3e309: the overflows-float64 ValueError, not a ResonanceError
+    interval = Interval(0.0, 100.0)
+    grid = Grid(interval, 200)
+    problem = ProblemSpec(
+        interval, 0.0, ScalarField(grid, c_of(grid.nodes)), ScalarField.constant(grid, 1e303)
+    )
+    with pytest.raises(ValueError, match="^the solution overflows float64 at p = 0.0 .* L = 100.0$"):
+        direct_solve(problem)
+
+
+def test_a_fixed_point_run_decides_the_path_once_per_operator(monkeypatch):
+    # the frozen coefficient d = -lambda3 is constant: its modal denominators
+    # are computed at the first step and kept, and so are those of the
+    # reference solve with c, so two operators take two computations
+    from beamsign import solver
+
+    calls = []
+    beta = solver._discrete_beta
+
+    def counting(p, grid):
+        calls.append(grid.n)
+        return beta(p, grid)
+
+    monkeypatch.setattr(solver, "_discrete_beta", counting)
+    run = fixed_point_solve(unit_problem(200, -250.0), mode="negative", tol=1e-10)
+    assert run.solution.iterations >= 3
+    assert calls == [200, 200]
+
+
+def test_a_resonant_constant_c_solve_assembles_once(monkeypatch):
+    # the discrete-mode error names the operator of the solve, with no second one
+    from beamsign import solver
+    from beamsign.spectrum import _discrete_beta
+
+    calls = []
+    build = solver.assemble
+
+    def counting(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(solver, "assemble", counting)
+    _, beta = _discrete_beta(0.0, Grid(UNIT, 200))
+    with pytest.raises(ResonanceError, match="discrete mode k = 2"):
+        direct_solve(unit_problem(200, -beta[1]))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("length", [1e5, 1e20])
@@ -445,11 +511,6 @@ def test_each_operator_is_factored_once(monkeypatch):
     superposition_solve(varying)
     assert len(calls) == 1  # kernel and both moment responses share it
     calls.clear()
-    op = assemble(0.0, ScalarField.constant(Grid(UNIT, 200), 0.0))
-    smallest_eigenvalue(op)
-    smallest_eigenvalue(op)
-    assert len(calls) == 1
-    calls.clear()
     direct_solve(varying)
     assert len(calls) == 1
     # constant c factors nothing: every vector solve takes the sine transform,
@@ -462,12 +523,8 @@ def test_each_operator_is_factored_once(monkeypatch):
     y_boundary(0.0, ScalarField.constant(grid, 40.0), grid, "a")
     assert calls == []
     # the split kernel and every variable-c vector solve: one factorization, of
-    # the split system, and nothing in extended precision, at n = 200 and at
-    # n = 400 alike
-    from beamsign import greens, solver
-
-    def no_extended(self):
-        raise AssertionError("extended-precision work in a split solve")
+    # the split system, at n = 200 and at n = 400 alike
+    from beamsign import greens
 
     for n in (200, 400):
         grid = Grid(UNIT, n)
@@ -482,9 +539,7 @@ def test_each_operator_is_factored_once(monkeypatch):
         ]
         for solve in solves:
             calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(solver.OperatorMatrix, "band_extended", no_extended)
-                solve()
+            solve()
             assert calls == [2 * (n - 1)]
         G = greens._split_kernel(assemble(0.0, ScalarField.constant(grid, 0.0), grid))
         assert G.values.dtype == np.float64
@@ -558,35 +613,34 @@ def test_superposition_meets_the_bound_at_large_n():
 
 
 def test_vector_solves_take_nothing_from_the_band(monkeypatch):
-    # no vector solve multiplies by the rounded band or solves with it: each
-    # is one split solve, with no refinement
+    # the rounded band is built only when read, and of all the solve paths
+    # only smallest_eigenvalue reads it: no assembly, vector solve or kernel,
+    # for constant or variable c, builds it
     from beamsign import solver
 
-    used = []
+    built = []
+    band = solver.OperatorMatrix.band
 
-    def recording(name, function):
-        def wrapped(*args):
-            used.append(name)
-            return function(*args)
+    def recording(self):
+        built.append(self.grid.n)
+        return band.fget(self)
 
-        return wrapped
-
-    monkeypatch.setattr(solver, "_band_matvec", recording("matvec", solver._band_matvec))
-    solve = recording("solve", solver.OperatorMatrix._solve_interior)
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", solve)
+    monkeypatch.setattr(solver.OperatorMatrix, "band", property(recording))
     grid = Grid(UNIT, 200)
     c = ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes))
-    problem = ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0), d1=-0.5, d2=-1.5)
-    homogeneous = ProblemSpec(UNIT, 0.0, c, ScalarField.constant(grid, 1.0))
-    direct_solve(problem)
-    superposition_solve(problem)
-    superposition_solve(unit_problem(200, 40.0, d1=-0.5, d2=-1.5))
-    run = fixed_point_solve(homogeneous, mode="negative", check_hypotheses=False)
-    assert run.solution.iterations > 1
-    y_boundary(0.0, c, grid, "a")
-    assert used == []
-    smallest_eigenvalue(assemble(0.0, c))  # which still iterates on the band
-    assert "solve" in used
+    h = ScalarField.constant(grid, 1.0)
+    for coefficient in (c, ScalarField.constant(grid, -250.0)):
+        direct_solve(ProblemSpec(UNIT, 0.0, coefficient, h, d1=-0.5, d2=-1.5))
+        superposition_solve(ProblemSpec(UNIT, 0.0, coefficient, h, d1=-0.5, d2=-1.5))
+        run = fixed_point_solve(
+            ProblemSpec(UNIT, 0.0, coefficient, h), mode="negative", check_hypotheses=False
+        )
+        assert run.solution.iterations > 1
+        y_boundary(0.0, coefficient, grid, "a")
+        greens_discrete(0.0, coefficient, grid)
+    assert built == []
+    smallest_eigenvalue(assemble(0.0, c))
+    assert built == [200]
 
 
 def test_superposition_is_the_sum_of_kernel_and_moment_responses():
@@ -630,29 +684,22 @@ def test_superposition_resonance_names_the_discrete_mode():
 def test_superposition_makes_no_matrix_solve(monkeypatch):
     # no n x n work: for variable c the kernel sum is one vector solve on the
     # split factors, which takes one condition estimate, for its bound; constant
-    # c takes the sine transform, which solves and estimates nothing, and
-    # nothing touches the band
+    # c takes the sine transform, which solves and estimates nothing
     from beamsign import solver
 
-    split, interior, estimates = [], [], []
+    split, estimates = [], []
     solve_split = solver.OperatorMatrix._solve_split_transposed
-    solve_interior = solver.OperatorMatrix._solve_interior
     split_error = solver._split_error
 
     def recording_split(self, rhs, start=0):
         split.append(rhs.ndim)
         return solve_split(self, rhs, start)
 
-    def recording_interior(self, rhs):
-        interior.append(rhs.ndim)
-        return solve_interior(self, rhs)
-
     def recording_error(*args):
         estimates.append(1)
         return split_error(*args)
 
     monkeypatch.setattr(solver.OperatorMatrix, "_solve_split_transposed", recording_split)
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", recording_interior)
     monkeypatch.setattr(solver, "_split_error", recording_error)
     for n in (8, 200, 600):
         grid = Grid(UNIT, n)
@@ -667,22 +714,36 @@ def test_superposition_makes_no_matrix_solve(monkeypatch):
             superposition_solve(problem)
             assert split == expected
             assert estimates == expected
-        assert interior == []
 
 
-def test_only_a_matrix_of_loads_takes_the_transposed_sweep():
-    # no solve on the interior block takes the transposed factors: a vector
-    # takes the plain solve, which keeps smallest_eigenvalue bit for bit as it
-    # was
+def test_only_a_matrix_of_loads_takes_the_transposed_sweep(monkeypatch):
+    # no solve on the interior block takes the transposed factors: each step
+    # of smallest_eigenvalue takes the plain solve of one vector, on factors
+    # that pivot, which keeps it bit for bit as it was
     from beamsign import solver
 
+    lapack = solver._lapack()
+    factor, solve = lapack.dgbtrf, lapack.dgbtrs
+    pivots, solves = [], []
+
+    def recording_factor(ab, *args, **kwargs):
+        out = factor(ab, *args, **kwargs)
+        pivots.append(out[1])
+        return out
+
+    def recording_solve(lu, kl, ku, rhs, piv, **kwargs):
+        solves.append((rhs.ndim, kwargs.get("trans", 0)))
+        return solve(lu, kl, ku, rhs, piv, **kwargs)
+
+    monkeypatch.setattr(lapack, "dgbtrf", recording_factor)
+    monkeypatch.setattr(lapack, "dgbtrs", recording_solve)
     grid = Grid(UNIT, 200)
-    op = assemble(2.0, ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes)), grid)
-    rhs = np.random.default_rng(2).standard_normal(grid.n - 1)
-    x = op._solve_interior(rhs.copy())
-    lu, piv = op._lu
+    smallest_eigenvalue(
+        assemble(2.0, ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes)), grid)
+    )
+    (piv,) = pivots
     assert np.any(piv != np.arange(grid.n - 1))  # the factorization pivots
-    assert np.array_equal(x, solver._lapack().dgbtrs(lu, 2, 2, rhs, piv)[0])
+    assert solves and set(solves) == {(1, 0)}
 
 
 def test_superposition_agrees_with_the_untransposed_kernel_solve():
@@ -794,7 +855,7 @@ def test_constant_c_superposition_agrees_with_the_split_solve_at_large_n():
         problem = _constant_c_problem(n, p, cv, d1=-0.5, d2=-0.25)
         u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
         op = assemble(p, problem.c)
-        ref = solver._split_vector(op, solver._rhs_vector(op, problem))[0]
+        ref = np.pad(solver._split_vector(op, solver._rhs_vector(op, problem)[1:-1])[0], 1)
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -940,16 +1001,23 @@ def test_fixed_point_bound_holds_where_the_first_step_ratio_misleads():
 
 
 def _eigenvalue_with_a_quotient_at_every_step(op, tol=1e-12, max_iter=500):
-    # inverse iteration that takes the extended-precision Rayleigh quotient at
-    # every step and stops when its update is below tol or stops shrinking
+    # inverse iteration on the rounded band's interior block that takes the
+    # extended-precision Rayleigh quotient at every step and stops when its
+    # update is below tol or stops shrinking
     from beamsign import solver
 
+    lapack = solver._lapack()
+    band = op.band[:, 1:-1]
+    ab = np.zeros((7, op.grid.n - 1), order="F")
+    ab[2:] = band
+    lu, piv, info = lapack.dgbtrf(ab, 2, 2)
+    assert info == 0
+    band_ld = band.astype(np.longdouble)
     v = np.random.default_rng(7).standard_normal(op.grid.n + 1)[1:-1]
     v /= np.linalg.norm(v)
-    band_ld = op.band_extended()[:, 1:-1]
     lam, prev_delta = None, np.inf
     for it in range(max_iter):
-        w = op._solve_interior(v)
+        w = lapack.dgbtrs(lu, 2, 2, v, piv)[0]
         w /= np.linalg.norm(w)
         w_ld = w.astype(np.longdouble)
         new = float(w_ld @ solver._band_matvec(band_ld, w_ld))
@@ -981,18 +1049,19 @@ def test_smallest_eigenvalue_takes_the_extended_quotient_only_at_the_end(monkeyp
     grid = Grid(UNIT, 250)
     op = assemble(50.0, ScalarField.constant(grid, 5000.0), grid)
     steps, extended = [], []
-    solve, matvec = solver.OperatorMatrix._solve_interior, solver._band_matvec
+    lapack = solver._lapack()
+    solve, matvec = lapack.dgbtrs, solver._band_matvec
 
-    def counting_solve(self, rhs):
+    def counting_solve(*args, **kwargs):
         steps.append(1)
-        return solve(self, rhs)
+        return solve(*args, **kwargs)
 
     def counting_matvec(band, u):
         if u.dtype == np.longdouble:
             extended.append(1)
         return matvec(band, u)
 
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_interior", counting_solve)
+    monkeypatch.setattr(lapack, "dgbtrs", counting_solve)
     monkeypatch.setattr(solver, "_band_matvec", counting_matvec)
     solver.smallest_eigenvalue(op)
     assert len(steps) >= 20
