@@ -66,7 +66,7 @@ class GreensMatrix:
     comes from LAPACK's condition estimate ``gbcon`` and can differ in its
     last digit between calls on identical factors, because ``gbcon`` is not
     bit-reproducible (at n = 200, p = 5, c = 0 it returned rcond
-    4.999812507030961e-05 on some calls and 4.9998125070309596e-05 on
+    6.103515624999969e-05 on some calls and 6.1035156249999675e-05 on
     others).
     """
 
@@ -235,26 +235,27 @@ def _split_kernel(op: OperatorMatrix) -> GreensMatrix:
     L u - v = 0, L v + p v + c u = f (see :mod:`beamsign.solver`): its
     transpose, with the loads in the u-rows, returns G in the v-rows, and M
     is that of the unit interval, so loads and G are each scaled by L**2
-    (``solver._split_scale``).  So G is the kernel of L**2 + p L + C
-    itself, not of its rounded band.  Only the lower triangle is solved, in
-    blocks of ``_KERNEL_BLOCK`` columns: the block from column j0 on takes
-    one transposed solve on the trailing factors of M from row 2 j0 - 2,
-    whose rows from 2 j0 on equal those of a full solve bit for bit.  Each block goes straight into the kernel, with
+    (``solver._split_scale``).  The factors are those of M with its columns
+    scaled by powers of two D, so each load is also multiplied by its
+    u-column's entry of D, which moves no bit of G unless a rounding
+    underflows (see the module docstring of :mod:`beamsign.solver`).  So G is
+    the kernel of L**2 + p L + C itself, not of its rounded band.  Only the
+    lower triangle is solved, in blocks of ``_KERNEL_BLOCK`` columns: the
+    block from column j0 on takes one transposed solve on the trailing
+    factors from row 2 j0 - 2, whose rows from 2 j0 on equal those of a
+    full solve bit for bit.  Each block goes straight into the kernel, with
     its transpose in the rows above it and its diagonal block mirrored, so
     G equals G.T exactly.
 
     The returned ``forward_error_bound`` bounds max|G - G_exact| / max|G|; it
-    is read from the LU factors and a condition estimate, and no residual of
-    G is formed.  Every block solve is a transposed solve with a Schur
-    complement of M, so the bound of the full solve covers it, with max|y|
-    taken over the rows the block returns (the argument is in
-    ``OperatorMatrix._solve_split_transposed``).  When that bound exceeds
-    ``_KERNEL_RTOL`` = 1e-3 it is taken again on column-equilibrated factors,
-    which a large c can shrink by orders of magnitude; the same
-    Schur-complement argument covers the blocks, and the smaller of the two
-    is reported.  Raises :class:`~beamsign.errors.ResonanceError`, with the
-    bound in its message, when both exceed 1e-3.  The vector solves share
-    this bound (``solver._split_solve_error``).
+    is read from the scaled LU factors and one condition estimate, and no
+    residual of G is formed.  Every block solve is a transposed solve with a
+    Schur complement of M D, so the bound of the full solve covers it, with
+    max|y| taken over the rows the block returns (the argument is in
+    ``OperatorMatrix._solve_split_transposed``).  Raises
+    :class:`~beamsign.errors.ResonanceError`, with the bound in its message,
+    when it exceeds ``_KERNEL_RTOL`` = 1e-3.  The vector solves share this
+    bound (``solver._split_solve_error``).
     """
     grid = op.grid
     m = grid.n - 1
@@ -264,13 +265,14 @@ def _split_kernel(op: OperatorMatrix) -> GreensMatrix:
     scale = 0.0  # max|G| over the solved lower triangle
     keep = np.tri(_KERNEL_BLOCK, dtype=bool)  # on and below the diagonal
     load = _split_scale(op, 1.0 / grid.spacing)
+    load_scale = op._split_factors()[2][0::2]  # D on the u-columns, node by node
     for j0 in range(0, m, _KERNEL_BLOCK):
         j1 = min(j0 + _KERNEL_BLOCK, m)
         width = j1 - j0
         # column j loads u-row 2 j; rows from 2 j0 on are exact from this start
         start = max(2 * j0 - 2, 0)
         loads = np.zeros((2 * m - start, width), order="F")
-        loads[2 * j0 - start + 2 * np.arange(width), np.arange(width)] = load
+        loads[2 * j0 - start + 2 * np.arange(width), np.arange(width)] = load * load_scale[j0:j1]
         y = op._solve_split_transposed(loads, start)
         top = max(top, _max_abs(y))
         kernel = y[2 * j0 - start + 1 :: 2]  # the v-rows hold A^-1 e_j / spacing, rows j0 on

@@ -29,23 +29,33 @@ symmetric, the transposed solve M^T y = (b, 0) gives A^-1 b in the v-rows
 of y: with b = e_j a kernel column (``greens._split_kernel``), with b a
 right-hand side the solution of a vector solve (``_split_vector``).  Each
 is a float64 ``gbtrs`` on factors computed once per operator, with no
-refinement and nothing in extended precision.
+refinement and nothing in extended precision.  What is factored is M D, D
+the powers of two that bring the largest entry of each column of M into
+[1/2, 1) (``_split_band``), and the loads are multiplied by D, since
+(M D)^T y = D b has the y of M^T y = b.  D is exact, so partial pivoting
+picks M's pivots and every rounding that does not underflow scales
+exactly: y is bit for bit that of the unscaled solve, except in entries
+near the underflow threshold (over 2000 random kernels, only entries below
+2**-1019 moved, by less than 2**-1060).
 
 The factors come with a forward-error bound, computed in O(n) at its first
 read and without a residual: the backward error of a solve is bounded by
 |P L| |U| (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 2002, sections 3.1, 8.1 and 9.3) and multiplied by LAPACK's condition
-estimate (``gbcon``), which estimates ||M^-1||_1 and can fall short of it.
-Solves run with M^T, whose backward error takes the column sums of
-|P L| |U|, since partial pivoting leaves every column of L with three
-entries but lets a row collect hundreds (see ``_lu_column_sums``).  Kernels
-and vectors alike report their bound relative to the largest entry of their
-result and raise ``ResonanceError`` above ``_KERNEL_RTOL`` = 1e-3, on both
-paths (see ``_split_solve_error`` and ``_mode_error``).  The kernel is
-symmetric too, so only its lower triangle is solved: a block of columns
-starting at j needs only the rows from 2 j on, and those come from the
-trailing part of the same factors (see ``_solve_split_transposed``), bit for
-bit as a full solve would give them.
+estimate (``gbcon``), which estimates ||(M D)^-1||_1 and can fall short of
+it.  As M D is column-equilibrated (van der Sluis, Numer. Math. 14, 1969;
+Higham 2002, section 7.3), a c whose entries dwarf the 2 n**2 ones does
+not inflate that bound.  Solves run with (M D)^T, whose backward error
+takes the column sums of |P L| |U|, since partial pivoting leaves every
+column of L with three entries but lets a row collect hundreds (see
+``_lu_column_sums``).  Kernels and vectors alike report their bound
+relative to the largest entry of their result and raise ``ResonanceError``
+above ``_KERNEL_RTOL`` = 1e-3, on both paths (see ``_split_solve_error``
+and ``_mode_error``).  The kernel is symmetric too, so only its lower
+triangle is solved: a block of columns starting at j needs only the rows
+from 2 j on, and those come from the trailing part of the same factors
+(see ``_solve_split_transposed``), bit for bit as a full solve would give
+them.
 
 The rounded pentadiagonal band (``OperatorMatrix.band``) is built only when
 read, by ``OperatorMatrix.apply`` and ``smallest_eigenvalue``; its diagonal
@@ -166,9 +176,10 @@ class OperatorMatrix:
 
     Its solve path is decided at the first solve (:meth:`_modes`) and kept,
     with what that path needs: the modal denominators of the sine transform
-    for c constant on the interior nodes, else the LU factors of the split
-    system (see the module docstring) and, at their first read, both their
-    forward-error bounds.  The rounded :attr:`band` is built at each read.
+    for c constant on the interior nodes, else the LU factors of the
+    column-scaled split system M D with its scales D (see the module
+    docstring) and, at its first read, their forward-error bound.  The
+    rounded :attr:`band` is built at each read.
     """
 
     grid: Grid
@@ -177,7 +188,6 @@ class OperatorMatrix:
     _modal: tuple | None = field(default=None, repr=False)
     _split: tuple | None = field(default=None, repr=False)
     _split_bound: float | None = field(default=None, repr=False)
-    _split_bound_equilibrated: float | None = field(default=None, repr=False)
 
     @property
     def band(self) -> np.ndarray:
@@ -235,15 +245,12 @@ class OperatorMatrix:
         return denom, slack
 
     def _split_factors(self) -> tuple:
-        # (lu, piv, ||M||_1, info) of the split matrix M, factored at the first call
+        # (lu, piv, D, info): the factors of the scaled split matrix M D, factored
+        # at the first call, and its column scales D
         if self._split is None:
-            ab = _split_band(self)
-            # max column sum of |M|, inf or nan when M left float64; row by row,
-            # as an axis-0 sum over ab's few rows takes twice as long
-            sums = sum(np.abs(ab[2:]))
-            norm = float(_finite("the discrete operator", self.p, self.grid.interval, sums.max))
+            ab, scale = _split_band(self)
             lu, piv, info = _lapack().dgbtrf(ab, 2, 2, overwrite_ab=1)
-            self._split = (lu, piv, norm, info)
+            self._split = (lu, piv, scale, info)
         return self._split
 
     def _split_error_bound(self) -> float:
@@ -255,18 +262,18 @@ class OperatorMatrix:
         reads it skip the condition estimate.
         """
         if self._split_bound is None:
-            lu, piv, norm, info = self._split_factors()
-            self._split_bound = np.inf if info != 0 else _split_error(_lapack(), lu, piv, norm)
+            lu, piv, _, info = self._split_factors()
+            self._split_bound = np.inf if info != 0 else _split_error(_lapack(), lu, piv)
         return self._split_bound
 
     def _solve_split_transposed(self, rhs: np.ndarray, start: int = 0) -> np.ndarray:
-        """Solve M^T y = rhs for the split matrix M, in float64.
+        """Solve (M D)^T y = rhs for the scaled split matrix M D, in float64.
 
         ``rhs`` (a vector or a matrix of columns) holds rows ``start`` ..
-        2 (n - 1) - 1 of the right-hand side, interleaved as the columns of
-        :func:`_split_band`, and is overwritten when it is Fortran-ordered.
-        M is factored at the first call; :meth:`_split_error_bound` bounds
-        the error of the result.
+        2 (n - 1) - 1 of the right-hand side D b, interleaved as the columns
+        of :func:`_split_band`, and is overwritten when it is Fortran-ordered;
+        y solves M^T y = b.  M D is factored at the first call;
+        :meth:`_split_error_bound` bounds the error of the result.
 
         With ``start`` = r > 0 only the trailing factors are used,
         ``lu[:, r:]`` with the pivots ``piv[r:] - r``.  When the full
@@ -310,16 +317,19 @@ def assemble(p: float, c: ScalarField, grid: Grid | None = None) -> OperatorMatr
     return OperatorMatrix(grid=grid, p=float(p), c=c)
 
 
-def _split_band(op: OperatorMatrix) -> np.ndarray:
-    """The split matrix M of ``op`` in ``gbtrf`` storage: M[r, s] at [4 + r - s, s].
+def _split_band(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """M D in ``gbtrf`` storage, (M D)[r, s] at [4 + r - s, s], and the column scales D.
 
-    Row 2 (i - 1) is L u - v = 0 and row 2 (i - 1) + 1 is L v + p v + c u = f
-    at interior node i, with u_i and v_i in the columns of the same numbers;
-    rows 0 and 1 are left free for the fill-in of the factorization.  M is
-    that of the unit interval: spacing 1/n, p L**2 and c L**4 for an interval
-    of length L, so its operator is L**4 A (see :func:`_split_scale`).  On
-    [0, 1] these are ``op``'s own entries.  A p L**2 or c L**4 beyond
-    float64 is left in M, for :meth:`OperatorMatrix._split_factors` to report.
+    M is the split matrix of ``op``: row 2 (i - 1) is L u - v = 0 and row
+    2 (i - 1) + 1 is L v + p v + c u = f at interior node i, with u_i and
+    v_i in the columns of the same numbers; rows 0 and 1 are left free for
+    the fill-in of the factorization.  M is that of the unit interval:
+    spacing 1/n, p L**2 and c L**4 for an interval of length L, so its
+    operator is L**4 A (see :func:`_split_scale`).  On [0, 1] these are
+    ``op``'s own entries.  D holds the powers of two that bring each
+    column's largest entry, max(2 n**2, |c_i| L**4) for u_i and
+    2 n**2 + p L**2 for v_i, into [1/2, 1).  Raises the "overflows float64"
+    ValueError when an entry of M is not finite.
     """
     length = op.grid.interval.length
     l2 = length * length
@@ -328,14 +338,21 @@ def _split_band(op: OperatorMatrix) -> np.ndarray:
         c = np.asarray(op.c.values, dtype=np.float64)[1:-1] * l2 * l2
     inv2 = (1.0 / op.grid.n) ** -2
     size = 2 * (op.grid.n - 1)
+    top = np.empty(size)  # the largest entry of each column of M
+    top[0::2] = np.maximum(np.abs(c), 2.0 * inv2)
+    top[1::2] = 2.0 * inv2 + p
+    _finite("the discrete operator", op.p, op.grid.interval, lambda: float(top.max()))
+    scale = np.ldexp(1.0, -np.frexp(top)[1])
+    # each entry of M times its column's scale, written row by row: scaling
+    # ab in one product over its strided rows takes twice as long
     ab = np.zeros((7, size), order="F")
-    ab[2, 2:] = -inv2                   # u_{i+1} in u-rows, v_{i+1} in v-rows
-    ab[3, 1::2] = -1.0                  # v_i in the u-row of node i
-    ab[4, 0::2] = 2.0 * inv2
-    ab[4, 1::2] = 2.0 * inv2 + p
-    ab[5, 0::2] = c                     # c_i u_i in v-rows
-    ab[6, :-2] = -inv2                  # u_{i-1} in u-rows, v_{i-1} in v-rows
-    return ab
+    ab[2, 2:] = -inv2 * scale[2:]       # u_{i+1} in u-rows, v_{i+1} in v-rows
+    ab[3, 1::2] = -scale[1::2]          # v_i in the u-row of node i
+    ab[4, 0::2] = 2.0 * inv2 * scale[0::2]
+    ab[4, 1::2] = top[1::2] * scale[1::2]
+    ab[5, 0::2] = c * scale[0::2]       # c_i u_i in v-rows
+    ab[6, :-2] = -inv2 * scale[:-2]     # u_{i-1} in u-rows, v_{i-1} in v-rows
+    return ab, scale
 
 
 def _split_scale(op: OperatorMatrix, x):
@@ -369,53 +386,24 @@ def _lu_column_sums(lu: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _split_error(
-    lapack, lu: np.ndarray, piv: np.ndarray, norm: float, scale: np.ndarray | None = None
-) -> float:
+def _split_error(lapack, lu: np.ndarray, piv: np.ndarray) -> float:
     """The bound on max|y - y_exact| / max|y| for every transposed solve on these factors.
 
-    ``gbtrs`` computes y with (M + F)^T y = b and |F| <= gamma_13 |P L| |U|:
-    at most 5 terms in each entry of the factorization and in each row of
-    U^T, and 3 in each row of L^T (Higham 2002, Theorems 8.5 and 9.3).  So
-    max|y - y_exact| = max|M^-T F^T y| <= ||M^-1||_1 ||F||_1 max|y|, with
-    ||F||_1 from :func:`_lu_column_sums` and ||M^-1||_1 from LAPACK's
-    condition estimate (``gbcon``; ``norm`` is ||M||_1).
-
-    With ``scale``, a positive vector d of column scales, the same holds
-    with M D and F D in place of M and F, because M^-T F^T = (M D)^-T
-    (F D)^T: ``norm`` is then ||M D||_1, the condition estimate runs on the
-    factors P L (U D) of M D, and ||F D||_1 <= gamma_13 max_j d_j
-    colsum_j(|P L| |U|).  Column equilibration (d_j = 1 / max_i |M[i, j]|)
-    keeps a large c from inflating both factors at once.
+    With B = M D the factored matrix, ``gbtrs`` computes y with
+    (B + F)^T y = D b and |F| <= gamma_13 |P L| |U|: at most 5 terms in each
+    entry of the factorization and in each row of U^T, and 3 in each row of
+    L^T (Higham 2002, Theorems 8.5 and 9.3).  So max|y - y_exact| =
+    max|B^-T F^T y| <= ||B^-1||_1 ||F||_1 max|y|, with ||F||_1 from
+    :func:`_lu_column_sums` and ||B^-1||_1 from LAPACK's condition estimate
+    (``gbcon``).  ``gbcon`` returns 1 / (anorm * its estimate of
+    ||B^-1||_1), so with anorm = 1 it returns the estimate's inverse and
+    ||B||_1 is never needed.
     """
     sums = _lu_column_sums(lu)
-    if scale is not None:
-        lu = lu.copy(order="F")
-        lu[:5] *= scale  # U D: rows 0 .. 4 hold the columns of U
-        sums *= scale
-    rcond, info = lapack.dgbcon(2, 2, lu, piv, norm, norm="1")
+    rcond, info = lapack.dgbcon(2, 2, lu, piv, 1.0, norm="1")
     if info != 0 or not rcond > 0.0:
         return np.inf
-    return _GAMMA13 * float(np.max(sums)) / (rcond * norm)
-
-
-def _equilibrated_split_error(op: OperatorMatrix) -> float:
-    """:func:`_split_error` of ``op``'s split factors after column equilibration of M.
-
-    An estimated bound like the plain one, since ``gbcon`` estimates
-    ||M^-1||_1 and can fall short of it, and often far below it when the
-    entries of M differ in size by many orders, as with c = 1e8; it costs
-    one more ``gbcon`` call, so callers take it only when the plain bound
-    misses, and it is kept on ``op`` at its first call, as the plain one is.
-    ``op``'s split system must be factored.
-    """
-    if op._split_bound_equilibrated is None:
-        lu, piv = op._split[:2]
-        m_abs = np.abs(_split_band(op)[2:])  # |M| in its five diagonals, by column
-        scale = 1.0 / np.max(m_abs, axis=0)
-        norm = float(np.max(np.sum(m_abs, axis=0) * scale))
-        op._split_bound_equilibrated = _split_error(_lapack(), lu, piv, norm, scale)
-    return op._split_bound_equilibrated
+    return _GAMMA13 * float(np.max(sums)) / rcond
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -435,16 +423,13 @@ def _split_solve_error(op: OperatorMatrix, top: float, scale: float, subject: st
     ``top`` is max|y| over the rows the solves returned and ``scale`` the
     largest entry read from them, both before :func:`_split_scale`.  Each
     row is within ``op._split_error_bound()`` max|y| of exact, so the bound
-    is that times ``top`` / ``scale``, or, when smaller and the first exceeds
-    ``_KERNEL_RTOL``, the same on column-equilibrated factors.  Raises
+    is that times ``top`` / ``scale``.  Raises
     :class:`~beamsign.errors.ResonanceError`, naming ``subject``, when the
     bound exceeds ``_KERNEL_RTOL`` or y is not finite.
     """
     error = op._split_error_bound()
     valid = np.isfinite(error) and np.isfinite(top) and scale > 0.0
     bound = error * top / scale if valid else np.inf
-    if valid and not bound <= _KERNEL_RTOL:
-        bound = min(bound, _equilibrated_split_error(op) * top / scale)
     if not bound <= _KERNEL_RTOL:
         raise _resonance_error(
             op, f"the {subject}'s forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g}; "
@@ -606,13 +591,14 @@ def _split_vector(
     """A^-1 b on the interior nodes by one transposed split solve, and its forward-error bound.
 
     M^T y = (b, 0), with the interior ``load`` b in the u-rows, leaves A^-1 b
-    in the v-rows.  The bound, on max|u - u_exact| / max|u|, and its
+    in the v-rows; it is solved on the scaled factors with the load times
+    the u-columns' scales.  The bound, on max|u - u_exact| / max|u|, and its
     ResonanceError are those of :func:`_split_solve_error`.  With ``bounded``
     false the condition estimate is skipped, the bound reads None, and
     ResonanceError is raised only when M is singular or y is not finite.
     """
     loads = np.zeros(2 * (op.grid.n - 1))
-    loads[0::2] = load
+    loads[0::2] = load * op._split_factors()[2][0::2]
     y = op._solve_split_transposed(_split_scale(op, loads))
     u = y[1::2]
     if bounded:

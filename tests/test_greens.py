@@ -208,9 +208,23 @@ def test_the_split_kernel_accepts_a_large_coefficient():
     _check_large_coefficient(_split)
 
 
-def test_the_equilibrated_bound_is_taken_only_when_the_plain_bound_misses(monkeypatch):
-    # one condition estimate per factorization on the common path, so its
-    # bound and kernel are those of the plain bound; a second one at c = 1e8
+def test_the_scaled_factors_bound_coefficients_that_dwarf_the_stencil():
+    # c L^4 far above 2 n^2 = 8e4: the unscaled factors' bound was 4.4e-4 at
+    # c = 1e8 t on [0, 1] and 1.4e265 per max|y| on [0, 1e78], c = 1e-110 t
+    # (c L^4 up to 1e280), where a second, equilibrated estimate gave 4.6e-5;
+    # the one estimate on the scaled factors gives 1.2e-6 and 6.2e-5
+    for interval, c_of, most in (
+        (UNIT, lambda t: 1e8 * t, 1e-5),
+        (Interval(0.0, 1e78), lambda t: 1e-110 * t, 1e-4),
+    ):
+        grid = Grid(interval, 200)
+        G = greens_discrete(0.0, ScalarField(grid, c_of(grid.nodes)), grid)
+        assert 0.0 < G.forward_error_bound <= most
+
+
+def test_each_factorization_takes_one_condition_estimate(monkeypatch):
+    # one condition estimate per factorization, on the column-scaled factors,
+    # at c = 1e8 as on the common path: no second estimate is taken
     from beamsign import solver
 
     lapack = solver._lapack()
@@ -223,17 +237,18 @@ def test_the_equilibrated_bound_is_taken_only_when_the_plain_bound_misses(monkey
 
     monkeypatch.setattr(lapack, "dgbcon", counting)
     grid = Grid(UNIT, 200)
-    for cv, expected in ((0.0, 1), (-97.0, 1), (3000.0, 1), (1e8, 2)):
+    for cv in (0.0, -97.0, 3000.0, 1e8):
         calls.clear()
         _split(5.0, ScalarField.constant(grid, cv), grid)
-        assert len(calls) == expected
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [8, 10, 96, 98, 100, 200, 1000])
 def test_greens_discrete_mirrors_the_lower_triangle_of_one_full_solve(n):
     # every column block is solved on the trailing split factors only; the
     # rows it keeps must be those of one full transposed solve on the same
-    # factors bit for bit, and the upper triangle their exact mirror
+    # factors bit for bit, and the upper triangle their exact mirror; the
+    # factors are those of M D, so each load takes its column's scale
     grid = Grid(UNIT, n)
     t = grid.nodes
     m = n - 1
@@ -248,7 +263,8 @@ def test_greens_discrete_mirrors_the_lower_triangle_of_one_full_solve(n):
         op = assemble(p, ScalarField(grid, cv), grid)
         G = _split_kernel(op)
         loads = np.zeros((2 * m, m), order="F")
-        loads[np.arange(0, 2 * m, 2), np.arange(m)] = 1.0 / grid.spacing
+        scale = op._split_factors()[2]
+        loads[np.arange(0, 2 * m, 2), np.arange(m)] = (1.0 / grid.spacing) * scale[0::2]
         y = op._solve_split_transposed(loads)
         error = op._split_error_bound()
         inner = G.values[1:-1, 1:-1]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsign import (
     Grid,
@@ -749,7 +751,8 @@ def test_only_a_matrix_of_loads_takes_the_transposed_sweep(monkeypatch):
 def test_superposition_agrees_with_the_untransposed_kernel_solve():
     # for variable c the reference is the untransposed split solve M x =
     # (0, rhs) on the same factors, which has A^-1 rhs in its u-rows, so it
-    # checks the transposed one's v-rows.  For constant c the sum is the sine
+    # checks the transposed one's v-rows; the factors are those of M D, so
+    # x = D x' for M D x' = (0, rhs).  For constant c the sum is the sine
     # transform instead: it must match the independent one of the test helpers
     from beamsign import solver
 
@@ -775,10 +778,10 @@ def test_superposition_agrees_with_the_untransposed_kernel_solve():
             expected = sine_transform_solve(p, cv[0], n, grid.spacing, rhs)
             assert np.max(np.abs(u - expected)) <= 1e-12 * np.max(np.abs(expected))
             continue
-        lu, piv = op._split_factors()[:2]
+        lu, piv, scale = op._split_factors()[:3]
         b = np.zeros(2 * (n - 1))
         b[1::2] = rhs[1:-1]
-        x = solver._lapack().dgbtrs(lu, 2, 2, b, piv)[0]
+        x = solver._lapack().dgbtrs(lu, 2, 2, b, piv)[0] * scale
         expected = np.zeros(n + 1)
         expected[1:-1] = x[0::2]
         assert np.max(np.abs(u - expected)) <= 1e-10 * np.max(np.abs(expected))
@@ -934,10 +937,10 @@ def _count_condition_estimates(monkeypatch):
     return calls
 
 
-def test_each_operator_takes_at_most_two_condition_estimates(monkeypatch):
-    # at c = 1e11 every vector solve's plain bound misses 1e-3 and takes the
-    # column-equilibrated one; both are kept on the operator, so further
-    # solves with it estimate nothing
+def test_each_operator_takes_one_condition_estimate(monkeypatch):
+    # at c = 1e11 an unscaled split matrix's bound would miss 1e-3; the one
+    # estimate, on the column-scaled factors, meets it and is kept on the
+    # operator, so further solves with it estimate nothing
     from beamsign import solver
 
     calls = _count_condition_estimates(monkeypatch)
@@ -946,7 +949,67 @@ def test_each_operator_takes_at_most_two_condition_estimates(monkeypatch):
     op = assemble(5.0, ScalarField(grid, 1e11 * (1.0 + 0.1 * t)))
     for k in (1, 2, 3):
         assert solver._solve_vector(op, np.sin(k * np.pi * t))[1] <= 1e-7
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half_n=st.integers(min_value=4, max_value=150),
+    p=st.sampled_from([0.0, 5.0, 100.0]),
+    length=st.floats(min_value=0.1, max_value=30.0),
+    exponent=st.floats(min_value=0.0, max_value=14.0),
+    negative=st.booleans(),
+)
+def test_the_column_scales_move_no_bit_of_a_split_solve_above_underflow(
+    half_n, p, length, exponent, negative
+):
+    # M D with D powers of two that bring each column's largest entry into
+    # [1/2, 1): the solves on its factors, loads times D, match bit for bit
+    # those on the factors of M itself, but where a rounding underflows.
+    # c L^4 reaches far past 2 n^2, and so does p L^2 at small n; a negative
+    # c lies far below -spectrum(L^2 + p L).  Over 2000 such draws the kernels
+    # of 603 differed, only in entries below 2**-1019 and by under 2**-1060
+    from unittest import mock
+
+    from beamsign import greens, solver
+    from beamsign.spectrum import _discrete_top
+
+    n = 2 * half_n
+    grid = Grid(Interval(0.0, length), n)
+    t = grid.nodes
+    top = 4.0 * _discrete_top(p, grid) if negative else 0.0
+    c0 = -(top + 10.0**exponent) if negative else 10.0**exponent
+    op = assemble(p, ScalarField(grid, c0 * (1.0 + 0.5 * np.sin(3.0 * np.pi * t / length))), grid)
+
+    ab, scale = solver._split_band(op)
+    assert np.all(np.frexp(scale)[0] == 0.5)  # powers of two
+    column_max = np.max(np.abs(ab[2:]), axis=0)
+    assert np.all((column_max >= 0.5) & (column_max < 1.0))
+
+    lapack = solver._lapack()
+    plain = np.asfortranarray(ab / scale)  # M itself: dividing by D is exact
+    lu, piv, info = lapack.dgbtrf(plain, 2, 2)
+    assert info == 0
+    assert np.array_equal(piv, op._split_factors()[1])  # M's pivots
+
+    m = n - 1
+    load = 0.75 + 0.2 * np.cos(5.0 * np.pi * t[1:-1] / length)
+    loads = np.zeros(2 * m)
+    loads[0::2] = load
+    y = lapack.dgbtrs(lu, 2, 2, solver._split_scale(op, loads), piv, trans=1)[0]
+    u, _ = solver._split_vector(op, load, bounded=False)
+    assert np.array_equal(u, solver._split_scale(op, y[1::2]))
+
+    loads = np.zeros((2 * m, m), order="F")
+    loads[np.arange(0, 2 * m, 2), np.arange(m)] = solver._split_scale(op, 1.0 / grid.spacing)
+    y = lapack.dgbtrs(lu, 2, 2, loads, piv, trans=1)[0]
+    with mock.patch.object(greens, "_split_solve_error", return_value=0.0):  # values, not the gate
+        G = greens._split_kernel(op).values[1:-1, 1:-1]
+    lower = np.tril_indices(m)
+    kernel, expected = G[lower], solver._split_scale(op, y[1::2])[lower]
+    underflow = np.maximum(np.abs(kernel), np.abs(expected)) < 2.0**-1000
+    assert np.all((kernel == expected) | underflow)
+    assert np.max(np.abs(kernel - expected)) < 2.0**-1022
 
 
 def test_a_fixed_point_run_takes_one_condition_estimate(monkeypatch):
