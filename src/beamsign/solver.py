@@ -711,13 +711,14 @@ def fixed_point_solve(
 
     sd = SpectralData.compute(problem.p, grid.interval)
     if check_hypotheses:
-        from .principles import check_amp_negative_h, check_amp_positive_h
+        from .principles import _Scan, _amp_negative, _amp_positive
 
-        check = check_amp_positive_h if mode == "positive" else check_amp_negative_h
-        rule = "Thm6_1_pos_h" if mode == "positive" else "Thm6_2_neg_h"
-        if check(problem.c, problem.h, problem.p, grid.interval, sd) is None:
+        # the verdict's amplified-load evaluators; each names its rule in every record
+        evaluate = _amp_positive if mode == "positive" else _amp_negative
+        recs, _, hits = evaluate(_Scan(problem.c, problem.h), sd)
+        if not hits:
             raise ValueError(
-                f"hypotheses of the {rule} rule do not hold for this problem; "
+                f"hypotheses of the {recs[0].rule} rule do not hold for this problem; "
                 "pass check_hypotheses=False to iterate anyway"
             )
 

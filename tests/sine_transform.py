@@ -5,10 +5,11 @@ A = L^2 + p L + c I, L the Dirichlet second-difference matrix with spacing h.
 The DST-I diagonalises it: A = S diag(lambda_k) S * 2 / n with S[i, k] =
 sin(i k pi / n) and lambda_k = mu_k^2 + p mu_k + c, mu_k = (4 / h^2)
 sin^2(k pi / 2n).  The sums over k are DST-Is, taken as the FFT of the odd
-extension.  For variable c, :func:`mpmath_inverse` inverts
-L^2 + p L + diag(c) densely at 50 digits, :func:`mpmath_band_solve`
-solves a (2, 2) band at 40 digits, and :func:`mpmath_split_solve` solves
-L^2 + p L + diag(c) with it, in O(n), through the split form v = L u.
+extension, and :func:`mpmath_sine_transform_solve` takes them at 50 digits.
+For variable c, :func:`mpmath_inverse` inverts L^2 + p L + diag(c) densely
+at 50 digits, :func:`mpmath_band_solve` solves a (2, 2) band at 40 digits,
+and :func:`mpmath_split_solve` solves L^2 + p L + diag(c) with it, in O(n),
+through the split form v = L u.
 """
 
 import numpy as np
@@ -68,6 +69,31 @@ def sine_transform_solve(p: float, c: float, n: int, h: float, rhs: np.ndarray) 
     return u * (2.0 / n)
 
 
+def mpmath_sine_transform_solve(p: float, c: float, n: int, rhs: np.ndarray) -> np.ndarray:
+    """A^-1 rhs for constant ``c`` on [0, 1], by the sine transform at 50 digits, rounded once.
+
+    The spacing is the rounded 1 / n, as in :func:`mpmath_split_solve`;
+    ``rhs`` and the result are on nodes 0 .. n with the ends zero.  O(n^2).
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        inv2 = mpmath.mpf((1.0 / n) ** -2)
+        sines = [mpmath.sin(j * mpmath.pi / n) for j in range(2 * n)]  # sin(j pi / n), j mod 2n
+        b = [mpmath.mpf(float(x)) for x in rhs]
+        modes = []
+        for k in range(1, n):
+            mu = 4 * inv2 * mpmath.sin(k * mpmath.pi / (2 * n)) ** 2
+            weight = mpmath.fsum(b[i] * sines[i * k % (2 * n)] for i in range(1, n))
+            modes.append(weight / (mu**2 + p * mu + c))
+        u = np.zeros(n + 1)
+        u[1:n] = [
+            float(2 * mpmath.fsum(modes[k - 1] * sines[i * k % (2 * n)] for k in range(1, n)) / n)
+            for i in range(1, n)
+        ]
+    return u
+
+
 def mpmath_inverse(p: float, c: np.ndarray, h: float) -> np.ndarray:
     """A^-1 for A = L^2 + p L + diag(``c``) on the interior nodes, at 50 digits, rounded once.
 
@@ -93,7 +119,8 @@ def mpmath_band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The interior solution of a (2, 2) band on nodes 0 .. n, at 40 digits, rounded once.
 
     ``band[2 + i - j, j]`` holds A[i, j], the storage of the assembled
-    operator, whose float64 entries are taken exactly; ``rhs`` and the result
+    operator, whose entries, float64 or mpmath numbers, are taken exactly;
+    ``rhs`` and the result
     are on nodes 0 .. n with the ends zero.  Gaussian elimination with
     partial pivoting over the band of rows 1 .. n - 1, in O(n).
     """
@@ -102,7 +129,7 @@ def mpmath_band_solve(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     m = band.shape[1] - 2
     with mpmath.workdps(40):
         rows = [
-            {j: mpmath.mpf(float(band[2 + i - j, j])) for j in range(max(1, i - 2), min(m, i + 2) + 1)}
+            {j: mpmath.mpf(band[2 + i - j, j]) for j in range(max(1, i - 2), min(m, i + 2) + 1)}
             for i in range(1, m + 1)
         ]
         b = [mpmath.mpf(float(x)) for x in rhs[1 : m + 1]]
@@ -132,18 +159,24 @@ def mpmath_split_solve(p: float, c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     read; the result is on nodes 0 .. n with the ends zero.  The system is
     written in the split form L u - v = 0, L v + p v + c u = rhs with the
     unknowns interleaved as (u_1, v_1, u_2, v_2, ...), a (2, 2) band whose
-    float64 entries (n^2, 2 n^2, p, c and -1) are all exact, and solved by
+    entries (n^2, 2 n^2, 2 n^2 + p, c and -1) are all exact: 2 n^2 + p, which
+    float64 may round, is formed in mpmath.  It is solved by
     :func:`mpmath_band_solve`.
     """
+    import mpmath
+
     n = len(rhs) - 1
     size = 2 * (n - 1)
     inv2 = (1.0 / n) ** -2  # 1 / spacing^2, as the spacing of [0, 1] is rounded
+    with mpmath.workdps(40):
+        # exact while p and 2 n^2 lie within a factor 2^79 of each other, or p is 0
+        v_diagonal = 2 * mpmath.mpf(inv2) + p
     # M[r, s] at band[2 + r - s, s + 1]: rows and columns 1 .. size, as mpmath_band_solve reads them
-    band = np.zeros((5, size + 2))
+    band = np.zeros((5, size + 2), dtype=object)
     band[0, 3 : size + 1] = -inv2  # u_{i+1} in u-rows, v_{i+1} in v-rows
     band[1, 2 : size + 1 : 2] = -1.0  # -v_i in the u-row of node i
     band[2, 1 : size + 1 : 2] = 2.0 * inv2
-    band[2, 2 : size + 1 : 2] = 2.0 * inv2 + p
+    band[2, 2 : size + 1 : 2] = v_diagonal
     band[3, 1 : size + 1 : 2] = np.asarray(c, dtype=np.float64)[1:n]  # c_i u_i in v-rows
     band[4, 1 : size - 1] = -inv2  # u_{i-1} in u-rows, v_{i-1} in v-rows
     b = np.zeros(size + 2)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsign import (
     Grid,
@@ -284,6 +286,23 @@ RULE_SCAN = [
 ]
 
 
+def scan_fields(a, b, c, h, n):
+    """The interval and the sampled c and h of one RULE_SCAN row."""
+    interval = Interval(a, b)
+    grid = Grid(interval, n)
+    zero = 0.0 * grid.nodes  # broadcasts a constant expression to every node
+    c_field = ScalarField(grid, parse_expression(c)(grid.nodes) + zero)
+    h_field = ScalarField(grid, parse_expression(h)(grid.nodes) + zero)
+    return interval, c_field, h_field
+
+
+def repr_or_error(call):
+    try:
+        return repr(call())
+    except ValueError as exc:
+        return repr(exc)
+
+
 def test_the_rule_scan_matches_its_recorded_verdicts():
     # repr of each verdict, or of the error it raised, recorded before the
     # statistics of c and h were shared between the rules: every rule, sign,
@@ -291,13 +310,110 @@ def test_the_rule_scan_matches_its_recorded_verdicts():
     recorded = json.loads((Path(__file__).parent / "verdict_reprs.json").read_text())
     assert len(recorded) == len(RULE_SCAN)
     for (a, b, p, c, h, d1, d2, n), expected in zip(RULE_SCAN, recorded):
-        interval = Interval(a, b)
-        grid = Grid(interval, n)
-        zero = 0.0 * grid.nodes  # broadcasts a constant expression to every node
-        c_field = ScalarField(grid, parse_expression(c)(grid.nodes) + zero)
-        h_field = ScalarField(grid, parse_expression(h)(grid.nodes) + zero)
-        try:
-            got = repr(verdict(ProblemSpec(interval, p, c_field, h_field, d1=d1, d2=d2)))
-        except ValueError as exc:
-            got = repr(exc)
+        interval, c_field, h_field = scan_fields(a, b, c, h, n)
+        problem = ProblemSpec(interval, p, c_field, h_field, d1=d1, d2=d2)
+        got = repr_or_error(lambda: verdict(problem))
         assert got == expected, (a, b, p, c, h)
+
+
+def test_the_rule_scan_matches_its_recorded_checks():
+    # repr of each single-rule check, or of the error it raised, recorded
+    # before the rules shared one evaluator: each check's rule, sign,
+    # r_bound, records and notes stay bit for bit the same
+    recorded = json.loads((Path(__file__).parent / "check_reprs.json").read_text())
+    assert len(recorded) == len(RULE_SCAN)
+    for (a, b, p, c, h, d1, d2, n), expected in zip(RULE_SCAN, recorded):
+        interval, c_field, h_field = scan_fields(a, b, c, h, n)
+        got = {
+            "check_corollary": repr_or_error(
+                lambda: check_corollary(c_field, SpectralData.compute(p, interval))
+            ),
+            "check_thm_positive": repr_or_error(lambda: check_thm_positive(c_field, p, interval)),
+            "check_thm_negative": repr_or_error(lambda: check_thm_negative(c_field, p, interval)),
+            "check_amp_positive_h": repr_or_error(
+                lambda: check_amp_positive_h(c_field, h_field, p, interval)
+            ),
+            "check_amp_negative_h": repr_or_error(
+                lambda: check_amp_negative_h(c_field, h_field, p, interval)
+            ),
+        }
+        assert got == expected, (a, b, p, c, h)
+
+
+def test_the_checks_refuse_fields_sampled_on_another_interval():
+    # c = -100 on [0, 2] against the thresholds of [0, 1]: a verdict would mix
+    # the integral of c over one interval with the thresholds of the other
+    c, h = fields(-100.0, interval=Interval(0.0, 2.0))
+    for check in (
+        lambda: check_corollary(c, SD0),
+        lambda: check_thm_positive(c, 0.0, UNIT),
+        lambda: check_thm_negative(c, 0.0, UNIT),
+        lambda: check_amp_positive_h(c, h, 0.0, UNIT),
+        lambda: check_amp_negative_h(c, h, 0.0, UNIT),
+    ):
+        with pytest.raises(ValueError, match="c is not sampled on the given interval"):
+            check()
+
+
+@st.composite
+def rule_problems(draw, one_signed_load=False):
+    """Problems whose range of c is drawn across the thresholds, in units of lambda1."""
+    p = draw(st.sampled_from([0.0, 3.0, 40.0]))
+    interval = Interval(0.0, draw(st.floats(min_value=0.5, max_value=2.0)))
+    lam1 = SpectralData.compute(p, interval).lambda1
+    # past -lambda3, the negative windows, (-lambda1, 0], the positive window, near -lambda2
+    zones = [(-6.0, -2.5), (-2.5, -1.0), (-1.0, 0.0), (0.0, 8.0), (8.0, 12.0)]
+    low, high = draw(st.sampled_from(zones))
+    c_min = lam1 * draw(st.floats(min_value=low, max_value=high))
+    c_span = lam1 * draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 2.0, 8.0]))
+    grid = Grid(interval, 64)
+    s = grid.nodes / interval.length
+    shape = draw(st.sampled_from([s, s * s, np.sin(np.pi * s)]))
+    if one_signed_load:
+        h_min = draw(st.floats(min_value=0.1, max_value=2.0))
+    else:
+        h_min = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    h_rise = draw(st.floats(min_value=0.0, max_value=3.0))
+    moments = 0.0 if one_signed_load else draw(st.sampled_from([0.0, -0.5]))
+    c = ScalarField(grid, c_min + c_span * shape)
+    h = ScalarField(grid, h_min + h_rise * np.cos(np.pi * s) ** 2)
+    return ProblemSpec(interval, p, c, h, d1=moments)
+
+
+def single_checks(problem):
+    """Each single-rule check on the problem, in precedence order."""
+    c, h, p, interval = problem.c, problem.h, problem.p, problem.interval
+    sd = SpectralData.compute(p, interval)
+    return [
+        check_corollary(c, sd),
+        check_thm_positive(c, p, interval, sd),
+        check_thm_negative(c, p, interval, sd),
+        check_amp_positive_h(c, h, p, interval, sd),
+        check_amp_negative_h(c, h, p, interval, sd),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule_problems())
+def test_each_check_reports_a_run_of_the_verdicts_records_in_table_order(problem):
+    details = verdict(problem).details
+    start = 0
+    for v in single_checks(problem):
+        if v is None:
+            continue
+        k = len(v.details)
+        offsets = [i for i in range(start, len(details) - k + 1) if details[i : i + k] == v.details]
+        assert offsets, v.rule
+        start = offsets[0] + k
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule_problems(one_signed_load=True))
+def test_the_verdict_takes_the_first_check_that_gives_a_sign(problem):
+    v = verdict(problem)
+    checks = [w for w in single_checks(problem) if w is not None]
+    signed = [w for w in checks if w.predicted_sign != "unique_only"]
+    if signed:
+        assert (v.rule, v.predicted_sign) == (signed[0].rule, signed[0].predicted_sign)
+    else:
+        assert v.predicted_sign in ("unique_only", "unknown"), v.rule

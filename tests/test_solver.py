@@ -24,7 +24,7 @@ from beamsign.solver import (
     rhs_norm_bound,
     smallest_eigenvalue,
 )
-from sine_transform import mpmath_split_solve, sine_transform_solve
+from sine_transform import mpmath_split_solve, mpmath_sine_transform_solve, sine_transform_solve
 
 UNIT = Interval(0.0, 1.0)
 
@@ -808,6 +808,20 @@ def test_constant_c_superposition_matches_the_band_solved_in_mpmath(n, p, c):
     for solve in (superposition_solve, direct_solve):
         u = np.asarray(solve(problem).u.values, dtype=np.float64)
         assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_the_split_reference_takes_every_entry_exactly():
+    # 2 n^2 + p is not a float64 at n = 200, p = 1110.05; rounded, it moved the
+    # 40-digit split solve 5.5e-13 of sup|u| from the operator's own solution,
+    # the sine transform at 50 digits, and formed exactly it matches it to the bit
+    pytest.importorskip("mpmath")
+    n, p, c = 200, 1110.05, -11000.0
+    t = np.linspace(0.0, 1.0, n + 1)
+    rhs = 1.0 + 0.5 * np.sin(np.pi * t)
+    rhs[0] = rhs[n] = 0.0
+    ref = mpmath_sine_transform_solve(p, c, n, rhs)
+    u = mpmath_split_solve(p, np.full(n + 1, c), rhs)
+    assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _exact_operator_residual(p, c, n, rhs, u):
