@@ -6,7 +6,8 @@ of the operator, scaled so that u(t_i) = sum_j w_j G[i, j] h(t_j)
 reproduces solutions with uniform nodal weights w_j equal to the grid
 spacing.  The discrete kernel is a sine transform in closed form when c is
 constant on the interior nodes, and otherwise comes from solves against
-scaled unit loads.
+scaled unit loads; both are built by the operator's solve path (see
+:mod:`beamsign.solver`), and this module checks their bound and wraps them.
 """
 
 from __future__ import annotations
@@ -15,27 +16,11 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from ._sine import _cosine_kernel, _max_abs, _slack
 from .errors import ResonanceError
 from .fields import Grid, ScalarField, require_p
-from .solver import (
-    _GAMMA3,
-    _GAMMA36,
-    _KERNEL_RTOL,
-    _TINY,
-    _U,
-    OperatorMatrix,
-    _max_abs,
-    _modal_error,
-    _mode_error,
-    _resolve_grid,
-    _solve_vector,
-    _split_scale,
-    _split_solve_error,
-    assemble,
-)
-from .spectrum import _finite
+from .solver import _checked, _resolve_grid, _solve_vector, assemble
 
 __all__ = [
     "GreensMatrix",
@@ -46,10 +31,6 @@ __all__ = [
     "y_boundary",
     "sign_scan",
 ]
-
-# kernel columns per trailing split solve in _split_kernel: 48 and 64 tie as
-# the fastest at n = 250 and n = 1000, while 32 and 96 are up to 5 % slower
-_KERNEL_BLOCK = 48
 
 
 @dataclass(eq=False)
@@ -103,27 +84,6 @@ def char_roots(p: float, m: float) -> tuple[complex, complex, complex, complex]:
     return tuple(roots)
 
 
-def _cosine_kernel(folded: np.ndarray, L: float) -> np.ndarray:
-    """The (n + 1) x (n + 1) matrix (S[|i - j|] - S[i + j]) / L, S = Re rfft(``folded``).
-
-    ``folded`` holds 2n weights w_k, so S[d] = sum_k w_k cos(k d pi / n).
-    With sin(k i pi / n) sin(k j pi / n) half of cos(k (i - j) pi / n) -
-    cos(k (i + j) pi / n), this is the sine series (2 / L) sum_k w_k
-    sin(k i pi / n) sin(k j pi / n) at the grid nodes, in one FFT.
-    S[2n - d] = S[d] holds exactly, so the result is exactly symmetric and
-    its rows and columns 0 and n are exactly 0.
-    """
-    n = len(folded) // 2
-    S = np.fft.rfft(folded).real  # d = 0 .. n
-    # S[|i - j|] and S[i + j] as strided views: windows of S[n], .., S[1], S[0], .., S[n]
-    # read bottom-up, and windows of S[0], .., S[n], .., S[0]
-    toeplitz = sliding_window_view(np.concatenate((S[:0:-1], S)), n + 1)[::-1]
-    hankel = sliding_window_view(np.concatenate((S, S[-2::-1])), n + 1)
-    vals = toeplitz - hankel
-    vals /= L
-    return vals
-
-
 def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> GreensMatrix:
     """Series kernel (2/L) sum_k sin(k pi x/L) sin(k pi y/L) / (lambda_k + m).
 
@@ -140,7 +100,7 @@ def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> Greens
     w = k * np.pi / L
     lam = w**4 + p * w**2
     denom = lam + m
-    resonant = np.abs(denom) <= _GAMMA36 * (lam + abs(m))  # the slack of beta_k + c
+    resonant = np.abs(denom) <= _slack(lam, m)  # the slack of beta_k + c
     if np.any(resonant):
         j = int(np.argmax(resonant))
         raise ResonanceError(
@@ -173,12 +133,13 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     superposition identity, and G is symmetric because A is.  Rows and
     columns 0 and n are exactly zero, and G equals G.T exactly.
 
+    G comes from the path the operator takes (``OperatorMatrix._path``).
     When c is constant on the interior nodes (its end values never enter
     A), the DST-I diagonalises A and G is its sine transform in closed form
-    (:func:`_closed_form_kernel`): one FFT, no factorization.  Otherwise,
-    and on intervals too long for the closed form's bound (see
-    ``OperatorMatrix._modes``), the columns are solved on the split system
-    (:func:`_split_kernel`).
+    (``_sine._Modes.kernel``): one FFT, no factorization.  Otherwise, and
+    on intervals too long for the closed form's bound (see
+    ``_sine._modal_path``), the columns are solved on the split system
+    (``solver._Split.kernel``).
 
     The returned ``forward_error_bound`` bounds max|G - G_exact| / max|G|
     against the exact kernel of A with h = ``grid.spacing``.  When it
@@ -187,104 +148,8 @@ def greens_discrete(p: float, c: ScalarField, grid: Grid | None = None) -> Green
     A ValueError reports an interval so short that A leaves float64.
     """
     op = assemble(p, c, grid)
-    modes = op._modes("kernel")
-    if modes is not None:
-        return _closed_form_kernel(op, *modes)
-    return _split_kernel(op)
-
-
-def _closed_form_kernel(op: OperatorMatrix, denom: np.ndarray, slack: np.ndarray) -> GreensMatrix:
-    """G[i, j] = (S[|i - j|] - S[i + j]) / L with S[d] = sum_k cos(k d pi / n) / (beta_k + c).
-
-    Here L is the interval length.  A = Q diag(beta_k + c) Q with Q[i, k] =
-    sqrt(2 / n) sin(i k pi / n), so G = A^-1 / h is the sine series
-    (2 / L) sum_k sin(k i pi / n) sin(k j pi / n) / (beta_k + c) that
-    :func:`_cosine_kernel` sums, with c the interior value and ``denom``
-    the computed d_k = beta_k + c and ``slack`` its bound e_k from
-    ``OperatorMatrix._modes``, which has already raised where e_k >= |d_k|.
-
-    The forward-error bound is a-priori, evaluated in float64: the weights
-    w_k = fl(1 / d_k) and the FFT that sums them move every S[d] by at most
-    sigma = ``solver._modal_error``, and the difference, the division by L
-    and L = n h (1 + delta), |delta| <= u = 2**-53, for h = fl(L / n) are
-    three relative roundings, so G computed is within gamma_3 / (1 - gamma_3)
-    max|G| plus 2 sigma / (L (1 - u)) of G exact.
-    """
-    grid = op.grid
-    n = grid.n
-    L = grid.interval.length
-    # every weight, and so every sum of them, stays finite
-    _finite("the discrete kernel", op.p, grid.interval, lambda: 4.0 * n / float(np.min(np.abs(denom))))
-    folded = np.zeros(2 * n)
-    w = folded[1:n]
-    np.divide(1.0, denom, out=w)
-    vals = _cosine_kernel(folded, L)
-    sigma = _modal_error(w, denom, slack)
-    top = _max_abs(vals)
-    error = 2.0 * sigma / (L * (1.0 - _U)) + _TINY
-    bound = _GAMMA3 / (1.0 - _GAMMA3) + error / top if top > 0.0 else np.inf
-    if not bound <= _KERNEL_RTOL:
-        raise _mode_error(op, denom, slack, bound, "kernel")
-    return GreensMatrix(grid, vals, forward_error_bound=bound)
-
-
-def _split_kernel(op: OperatorMatrix) -> GreensMatrix:
-    """The kernel of ``op`` from unit loads: column j solves A g = e_j / spacing.
-
-    The columns are solved in float64 with the split matrix M of
-    L u - v = 0, L v + p v + c u = f (see :mod:`beamsign.solver`): its
-    transpose, with the loads in the u-rows, returns G in the v-rows, and M
-    is that of the unit interval, so loads and G are each scaled by L**2
-    (``solver._split_scale``).  The factors are those of M with its columns
-    scaled by powers of two D, so each load is also multiplied by its
-    u-column's entry of D, which moves no bit of G unless a rounding
-    underflows (see the module docstring of :mod:`beamsign.solver`).  So G is
-    the kernel of L**2 + p L + C itself, not of its rounded band.  Only the
-    lower triangle is solved, in blocks of ``_KERNEL_BLOCK`` columns: the
-    block from column j0 on takes one transposed solve on the trailing
-    factors from row 2 j0 - 2, whose rows from 2 j0 on equal those of a
-    full solve bit for bit.  Each block goes straight into the kernel, with
-    its transpose in the rows above it and its diagonal block mirrored, so
-    G equals G.T exactly.
-
-    The returned ``forward_error_bound`` bounds max|G - G_exact| / max|G|; it
-    is read from the scaled LU factors and one condition estimate, and no
-    residual of G is formed.  Every block solve is a transposed solve with a
-    Schur complement of M D, so the bound of the full solve covers it, with
-    max|y| taken over the rows the block returns (the argument is in
-    ``OperatorMatrix._solve_split_transposed``).  Raises
-    :class:`~beamsign.errors.ResonanceError`, with the bound in its message,
-    when it exceeds ``_KERNEL_RTOL`` = 1e-3.  The vector solves share this
-    bound (``solver._split_solve_error``).
-    """
-    grid = op.grid
-    m = grid.n - 1
-    vals = np.zeros((m + 2, m + 2))  # rows and columns 0 and n stay zero
-    inner = vals[1:-1, 1:-1]  # interior nodes numbered from 0
-    top = 0.0  # max|y| over every row the solves return
-    scale = 0.0  # max|G| over the solved lower triangle
-    keep = np.tri(_KERNEL_BLOCK, dtype=bool)  # on and below the diagonal
-    load = _split_scale(op, 1.0 / grid.spacing)
-    load_scale = op._split_factors()[2][0::2]  # D on the u-columns, node by node
-    for j0 in range(0, m, _KERNEL_BLOCK):
-        j1 = min(j0 + _KERNEL_BLOCK, m)
-        width = j1 - j0
-        # column j loads u-row 2 j; rows from 2 j0 on are exact from this start
-        start = max(2 * j0 - 2, 0)
-        loads = np.zeros((2 * m - start, width), order="F")
-        loads[2 * j0 - start + 2 * np.arange(width), np.arange(width)] = load * load_scale[j0:j1]
-        y = op._solve_split_transposed(loads, start)
-        top = max(top, _max_abs(y))
-        kernel = y[2 * j0 - start + 1 :: 2]  # the v-rows hold A^-1 e_j / spacing, rows j0 on
-        block = kernel[:width]
-        # the diagonal block keeps its lower triangle, mirrored above the diagonal
-        inner[j0:j1, j0:j1] = np.where(keep[:width, :width], block, block.T)
-        inner[j1:, j0:j1] = kernel[width:]
-        inner[j0:j1, j1:] = kernel[width:].T
-        scale = max(scale, _max_abs(inner[j0:, j0:j1]))
-    # the bound per max|y| becomes one per max|G|; the u-rows hold (L + p) G
-    bound = _split_solve_error(op, top, scale, "kernel")
-    return GreensMatrix(grid, _split_scale(op, vals), forward_error_bound=bound)
+    vals, bound = op._path.kernel()
+    return GreensMatrix(op.grid, vals, forward_error_bound=_checked(op, bound, "kernel"))
 
 
 def y_boundary(p: float, c: ScalarField, grid: Grid | None, side: str) -> ScalarField:

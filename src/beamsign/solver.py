@@ -10,33 +10,32 @@ rows 0 and n, so the end values are exactly zero and only the interior block
 A = L**2 + p L + C matters (L the Dirichlet second-difference matrix, C =
 diag(c)).  ``assemble`` only validates and records (p, c, grid).
 
-Every solve takes one of two paths, by the kind of c, decided once per
-operator at its first solve (``OperatorMatrix._modes``) and kept.  For c
-constant on the interior nodes the DST-I S diagonalises A, with eigenvalues
-beta_k + c: a kernel is a sine transform (``greens._closed_form_kernel``)
-and a vector solve is u = (2 / n) S diag(1 / (beta_k + c)) S rhs
-(``_closed_form_vector``), with a-priori bounds from ``_modal_error``;
-neither factors or loads LAPACK.
+Every solve takes one of two paths, decided once per operator at its first
+solve (``OperatorMatrix._path``) and kept: the sine transform of
+:mod:`beamsign._sine` for c constant on the interior nodes, else the split
+system below (:class:`_Split`).  Each path solves vectors and kernels and
+returns a forward-error bound with each result, relative to its largest
+entry; :func:`_checked` raises ``ResonanceError`` above ``_KERNEL_RTOL`` =
+1e-3, for both paths and both kinds of result.
 
-For variable c the solves run on the split system M: with v = L u, each
-interior equation is L u - v = 0 and L v + p v + c u = f, the unknowns are
-interleaved as (u_1, v_1, u_2, v_2, ...), and M is a (2, 2) band on
-2 (n - 1) rows in which c never meets a spacing**-4 term.  M is built for
-the unit interval (spacing 1/n, p L**2 and c L**4 for an interval of length
-L), whose operator is L**4 A: loads and results are each scaled by L**2,
-so the entries of M do not grow or shrink with the interval.  As A is
-symmetric, the transposed solve M^T y = (b, 0) gives A^-1 b in the v-rows
-of y: with b = e_j a kernel column (``greens._split_kernel``), with b a
-right-hand side the solution of a vector solve (``_split_vector``).  Each
-is a float64 ``gbtrs`` on factors computed once per operator, with no
-refinement and nothing in extended precision.  What is factored is M D, D
-the powers of two that bring the largest entry of each column of M into
-[1/2, 1) (``_split_band``), and the loads are multiplied by D, since
-(M D)^T y = D b has the y of M^T y = b.  D is exact, so partial pivoting
-picks M's pivots and every rounding that does not underflow scales
-exactly: y is bit for bit that of the unscaled solve, except in entries
-near the underflow threshold (over 2000 random kernels, only entries below
-2**-1019 moved, by less than 2**-1060).
+The split system M: with v = L u, each interior equation is L u - v = 0
+and L v + p v + c u = f, the unknowns are interleaved as (u_1, v_1, u_2,
+v_2, ...), and M is a (2, 2) band on 2 (n - 1) rows in which c never meets
+a spacing**-4 term.  M is built for the unit interval (spacing 1/n,
+p L**2 and c L**4 for an interval of length L), whose operator is L**4 A:
+loads and results are each scaled by L**2, so the entries of M do not grow
+or shrink with the interval.  As A is symmetric, the transposed solve
+M^T y = (b, 0) gives A^-1 b in the v-rows of y: with b = e_j a kernel
+column (``_Split.kernel``), with b a right-hand side the solution of a
+vector solve (``_Split.vector``).  Each is a float64 ``gbtrs`` on factors
+computed once per operator, with no refinement and nothing in extended
+precision.  What is factored is M D, D the powers of two that bring the
+largest entry of each column of M into [1/2, 1) (``_split_band``), and the
+loads are multiplied by D, since (M D)^T y = D b has the y of M^T y = b.
+D is exact, so partial pivoting picks M's pivots and every rounding that
+does not underflow scales exactly: y is bit for bit that of the unscaled
+solve, except in entries near the underflow threshold (over 2000 random
+kernels, only entries below 2**-1019 moved, by less than 2**-1060).
 
 The factors come with a forward-error bound, computed in O(n) at its first
 read and without a residual: the backward error of a solve is bounded by
@@ -48,14 +47,8 @@ Higham 2002, section 7.3), a c whose entries dwarf the 2 n**2 ones does
 not inflate that bound.  Solves run with (M D)^T, whose backward error
 takes the column sums of |P L| |U|, since partial pivoting leaves every
 column of L with three entries but lets a row collect hundreds (see
-``_lu_column_sums``).  Kernels and vectors alike report their bound
-relative to the largest entry of their result and raise ``ResonanceError``
-above ``_KERNEL_RTOL`` = 1e-3, on both paths (see ``_split_solve_error``
-and ``_mode_error``).  The kernel is symmetric too, so only its lower
-triangle is solved: a block of columns starting at j needs only the rows
-from 2 j on, and those come from the trailing part of the same factors
-(see ``_solve_split_transposed``), bit for bit as a full solve would give
-them.
+``_lu_column_sums``).  The kernel is symmetric too, so only its lower
+triangle is solved (see ``_Split.kernel``).
 
 The rounded pentadiagonal band (``OperatorMatrix.band``) is built only when
 read, by ``OperatorMatrix.apply`` and ``smallest_eigenvalue``; its diagonal
@@ -77,17 +70,17 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
+from ._sine import _U, _Modes, _max_abs, _modal_path
 from .errors import ConvergenceError, ResonanceError
 from .fields import Grid, ProblemSpec, ScalarField, extrema, integrate, require_p, sup_norm
 from .spectrum import (
     SpectralData,
-    _discrete_beta,
     _discrete_top,
-    _dst1,
     _finite,
     _overflow,
     delta1,
@@ -110,17 +103,11 @@ __all__ = [
     "smallest_eigenvalue",
 ]
 
-# the unit roundoff u and gamma_k = k u / (1 - k u) (Higham 2002, Lemma 3.1)
-_U = 2.0**-53
-_GAMMA2 = 2 * _U / (1.0 - 2 * _U)
-_GAMMA3 = 3 * _U / (1.0 - 3 * _U)
-_GAMMA4 = 4 * _U / (1.0 - 4 * _U)
+# gamma_13 = 13 u / (1 - 13 u), u the unit roundoff (Higham 2002, Lemma 3.1)
 _GAMMA13 = 13 * _U / (1.0 - 13 * _U)
-_GAMMA36 = 36 * _U / (1.0 - 36 * _U)
-# the smallest subnormal, a bound on the absolute error of a rounding that underflows
-_TINY = 2.0**-1074
-# mu_1 at least this keeps every mu_k^2 and beta_k normal, as the closed-form bounds assume
-_MU_MIN = 2.0**-511
+# kernel columns per trailing split solve in _Split.kernel: 48 and 64 tie as
+# the fastest at n = 250 and n = 1000, while 32 and 96 are up to 5 % slower
+_KERNEL_BLOCK = 48
 # largest forward-error bound, relative to the largest entry of the result,
 # that a solve accepts, for kernels and vectors alike: on [0, 1] and p in
 # {0, 5, 50} the split bound stays below 2e-4 up to n = 2000 for c >= -97,
@@ -172,22 +159,15 @@ def _lapack():
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """The discrete operator of u'''' - p u'' + c(t) u on ``grid``, and what its solves keep.
+    """The discrete operator of u'''' - p u'' + c(t) u on ``grid``, and the solve path it keeps.
 
-    Its solve path is decided at the first solve (:meth:`_modes`) and kept,
-    with what that path needs: the modal denominators of the sine transform
-    for c constant on the interior nodes, else the LU factors of the
-    column-scaled split system M D with its scales D (see the module
-    docstring) and, at its first read, their forward-error bound.  The
-    rounded :attr:`band` is built at each read.
+    The path (:attr:`_path`) holds what its solves reuse.  The rounded
+    :attr:`band` is built at each read.
     """
 
     grid: Grid
     p: float
     c: ScalarField
-    _modal: tuple | None = field(default=None, repr=False)
-    _split: tuple | None = field(default=None, repr=False)
-    _split_bound: float | None = field(default=None, repr=False)
 
     @property
     def band(self) -> np.ndarray:
@@ -210,91 +190,15 @@ class OperatorMatrix:
         band[0, 3:] = band[4, : n - 2] = inv4  # A[i, i + 2], A[i, i - 2]
         return band
 
-    def _modes(self, subject: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """The modal denominators d_k = beta_k + c and their slack e_k, or None to split.
+    @cached_property
+    def _path(self) -> _Modes | _Split:
+        """The solve path of this operator, decided at the first read and kept.
 
-        The DST-I diagonalises A = L**2 + p L + c I when c is constant on
-        the interior nodes (its end values never enter A), with eigenvalues
-        d_k from :func:`~beamsign.spectrum._discrete_beta`; a c that varies
-        there, or mu_1 < 2**-511 (intervals above about 2.5e77, where the
-        closed-form bounds would meet underflow), takes the split path.
-        e_k = gamma_36 (beta_k + |c|) bounds the rounding of d_k: mu_k is
-        within gamma_15, beta_k = mu_k (mu_k + p) within gamma_32 (p >= 0)
-        and d_k within gamma_33 (beta_k + |c|).  Decided at the first call
-        and kept; raises the ResonanceError of :func:`_mode_error`, naming
-        ``subject``, when e_k >= |d_k| for some k.
+        The sine transform where :func:`~beamsign._sine._modal_path` applies,
+        else the split system (:class:`_Split`), factored here; a path that
+        raises while it is built is not kept.
         """
-        if self._modal is None:
-            inner = np.asarray(self.c.values, dtype=np.float64)[1:-1]
-            modal = ()
-            if np.all(inner == inner[0]):
-                mu, beta = _discrete_beta(self.p, self.grid)
-                if mu[0] >= _MU_MIN:
-                    cv = float(inner[0])
-                    # beta_k + |c|, and with it beta_k + c, stays finite
-                    _finite("the discrete kernel", self.p, self.grid.interval,
-                            lambda: float(beta[-1]) + abs(cv))
-                    denom, slack = beta + cv, _GAMMA36 * (beta + abs(cv))
-                    modal = (denom, slack, not np.all(np.abs(denom) > slack))
-            self._modal = modal
-        if not self._modal:
-            return None
-        denom, slack, resonant = self._modal
-        if resonant:
-            raise _mode_error(self, denom, slack, np.inf, subject)
-        return denom, slack
-
-    def _split_factors(self) -> tuple:
-        # (lu, piv, D, info): the factors of the scaled split matrix M D, factored
-        # at the first call, and its column scales D
-        if self._split is None:
-            ab, scale = _split_band(self)
-            lu, piv, info = _lapack().dgbtrf(ab, 2, 2, overwrite_ab=1)
-            self._split = (lu, piv, scale, info)
-        return self._split
-
-    def _split_error_bound(self) -> float:
-        """The forward-error bound of every solve by :meth:`_solve_split_transposed`.
-
-        Each column y of a result meets max|y - y_exact| <= bound * max|y|;
-        the bound is inf when M is singular.  It is computed at its first
-        read (:func:`_split_error`) and kept, so solves whose caller never
-        reads it skip the condition estimate.
-        """
-        if self._split_bound is None:
-            lu, piv, _, info = self._split_factors()
-            self._split_bound = np.inf if info != 0 else _split_error(_lapack(), lu, piv)
-        return self._split_bound
-
-    def _solve_split_transposed(self, rhs: np.ndarray, start: int = 0) -> np.ndarray:
-        """Solve (M D)^T y = rhs for the scaled split matrix M D, in float64.
-
-        ``rhs`` (a vector or a matrix of columns) holds rows ``start`` ..
-        2 (n - 1) - 1 of the right-hand side D b, interleaved as the columns
-        of :func:`_split_band`, and is overwritten when it is Fortran-ordered;
-        y solves M^T y = b.  M D is factored at the first call;
-        :meth:`_split_error_bound` bounds the error of the result.
-
-        With ``start`` = r > 0 only the trailing factors are used,
-        ``lu[:, r:]`` with the pivots ``piv[r:] - r``.  When the full
-        right-hand side vanishes in rows 0 .. r - 1, rows r + 2 and below of
-        the result equal those of the full solve bit for bit: the transposed
-        solve runs U^T forward, which keeps rows 0 .. r - 1 exactly zero, then
-        L^T backward, and of the steps 0 .. r - 1 it leaves out only r - 2
-        and r - 1 reach past row r - 1, swapping into rows r and r + 1 at
-        most.  The bound holds as well.  After r elimination
-        steps the factors left are those of the Schur complement S of the
-        row-permuted M, so this solve is a transposed solve with S: its
-        backward error is bounded by trailing column sums of |P L| |U|, none
-        above the full ones, and S^-1 is a block of (P M)^-1, so
-        ||S^-1||_1 <= ||M^-1||_1.  Rows r and r + 1 hold values that the
-        full solve swaps to earlier rows unchanged, so max|y| over the
-        returned rows is at most that of the full solve.
-        """
-        lu, piv = self._split_factors()[:2]
-        if start:
-            lu, piv = lu[:, start:], piv[start:] - start
-        return _lapack().dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0]
+        return _modal_path(self.p, self.grid, self.c) or _Split(self)
 
     def apply(self, values) -> np.ndarray:
         """A @ values on the band, built in the dtype of ``values`` (rows 0, n: u(a), u(b))."""
@@ -325,7 +229,7 @@ def _split_band(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     v_i in the columns of the same numbers; rows 0 and 1 are left free for
     the fill-in of the factorization.  M is that of the unit interval:
     spacing 1/n, p L**2 and c L**4 for an interval of length L, so its
-    operator is L**4 A (see :func:`_split_scale`).  On [0, 1] these are
+    operator is L**4 A (see :meth:`_Split._scale`).  On [0, 1] these are
     ``op``'s own entries.  D holds the powers of two that bring each
     column's largest entry, max(2 n**2, |c_i| L**4) for u_i and
     2 n**2 + p L**2 for v_i, into [1/2, 1).  Raises the "overflows float64"
@@ -353,17 +257,6 @@ def _split_band(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     ab[5, 0::2] = c * scale[0::2]       # c_i u_i in v-rows
     ab[6, :-2] = -inv2 * scale[:-2]     # u_{i-1} in u-rows, v_{i-1} in v-rows
     return ab, scale
-
-
-def _split_scale(op: OperatorMatrix, x):
-    """``x`` times L**2, in place for an array (on [0, 1] exactly ``x``).
-
-    The split M has the operator L**4 A, so A^-1 b = L**2 (L**4 A)^-1 (L**2 b):
-    loads and results each take one factor L**2, which keeps both in
-    float64 wherever the result is.
-    """
-    x *= op.grid.interval.length * op.grid.interval.length
-    return x
 
 
 def _lu_column_sums(lu: np.ndarray) -> np.ndarray:
@@ -406,35 +299,142 @@ def _split_error(lapack, lu: np.ndarray, piv: np.ndarray) -> float:
     return _GAMMA13 * float(np.max(sums)) / rcond
 
 
-def _max_abs(a: np.ndarray) -> float:
-    # max|a| without an |a| temporary; the methods skip np.max's dispatch
-    return max(float(a.max()), -float(a.min()))
+class _Split:
+    """The split-system path of one operator (see the module docstring).
 
-
-def _norm2(a: np.ndarray) -> float:
-    # ||a||_2 scaled by max|a|, so the squares neither overflow nor underflow
-    top = _max_abs(a)
-    return top * float(np.linalg.norm(a / top)) if top > 0.0 else 0.0
-
-
-def _split_solve_error(op: OperatorMatrix, top: float, scale: float, subject: str) -> float:
-    """The forward-error bound of split solves, relative to the largest entry of their result.
-
-    ``top`` is max|y| over the rows the solves returned and ``scale`` the
-    largest entry read from them, both before :func:`_split_scale`.  Each
-    row is within ``op._split_error_bound()`` max|y| of exact, so the bound
-    is that times ``top`` / ``scale``.  Raises
-    :class:`~beamsign.errors.ResonanceError`, naming ``subject``, when the
-    bound exceeds ``_KERNEL_RTOL`` or y is not finite.
+    ``lu``, ``piv`` and ``info`` are those of ``gbtrf`` on the M D of
+    :func:`_split_band` (``info`` nonzero when M D is singular), and ``scale`` is D.
     """
-    error = op._split_error_bound()
-    valid = np.isfinite(error) and np.isfinite(top) and scale > 0.0
-    bound = error * top / scale if valid else np.inf
-    if not bound <= _KERNEL_RTOL:
-        raise _resonance_error(
-            op, f"the {subject}'s forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g}; "
-        )
-    return bound
+
+    # the split system has no closed-form spectrum: a bound that missed names no mode
+    note = ""
+
+    def __init__(self, op: OperatorMatrix):
+        ab, self.scale = _split_band(op)
+        self.lu, self.piv, self.info = _lapack().dgbtrf(ab, 2, 2, overwrite_ab=1)
+        self.grid = op.grid
+
+    @cached_property
+    def error_bound(self) -> float:
+        """The forward-error bound of every solve by :meth:`_solve_transposed`.
+
+        Each column y of a result meets max|y - y_exact| <= bound * max|y|;
+        the bound is inf when M is singular.  It is computed at its first
+        read (:func:`_split_error`) and kept, so solves whose caller never
+        reads it skip the condition estimate.
+        """
+        return np.inf if self.info != 0 else _split_error(_lapack(), self.lu, self.piv)
+
+    def _scale(self, x):
+        """``x`` times L**2, in place for an array (on [0, 1] exactly ``x``).
+
+        The split M has the operator L**4 A, so A^-1 b = L**2 (L**4 A)^-1 (L**2 b):
+        loads and results each take one factor L**2, which keeps both in
+        float64 wherever the result is.
+        """
+        x *= self.grid.interval.length * self.grid.interval.length
+        return x
+
+    def _solve_transposed(self, rhs: np.ndarray, start: int = 0) -> np.ndarray:
+        """Solve (M D)^T y = rhs for the scaled split matrix M D, in float64.
+
+        ``rhs`` (a vector or a matrix of columns) holds rows ``start`` ..
+        2 (n - 1) - 1 of the right-hand side D b, interleaved as the columns
+        of :func:`_split_band`, and is overwritten when it is Fortran-ordered;
+        y solves M^T y = b.  :meth:`error_bound` bounds the error of the result.
+
+        With ``start`` = r > 0 only the trailing factors are used,
+        ``lu[:, r:]`` with the pivots ``piv[r:] - r``.  When the full
+        right-hand side vanishes in rows 0 .. r - 1, rows r + 2 and below of
+        the result equal those of the full solve bit for bit: the transposed
+        solve runs U^T forward, which keeps rows 0 .. r - 1 exactly zero, then
+        L^T backward, and of the steps 0 .. r - 1 it leaves out only r - 2
+        and r - 1 reach past row r - 1, swapping into rows r and r + 1 at
+        most.  The bound holds as well.  After r elimination
+        steps the factors left are those of the Schur complement S of the
+        row-permuted M, so this solve is a transposed solve with S: its
+        backward error is bounded by trailing column sums of |P L| |U|, none
+        above the full ones, and S^-1 is a block of (P M)^-1, so
+        ||S^-1||_1 <= ||M^-1||_1.  Rows r and r + 1 hold values that the
+        full solve swaps to earlier rows unchanged, so max|y| over the
+        returned rows is at most that of the full solve.
+        """
+        lu, piv = self.lu, self.piv
+        if start:
+            lu, piv = lu[:, start:], piv[start:] - start
+        return _lapack().dgbtrs(lu, 2, 2, rhs, piv, trans=1, overwrite_b=1)[0]
+
+    def _bound(self, top: float, scale: float) -> float:
+        """The forward-error bound of split solves, relative to the largest entry of their result.
+
+        ``top`` is max|y| over the rows the solves returned and ``scale`` the
+        largest entry read from them, both before :meth:`_scale`.  Each
+        row is within :meth:`error_bound` max|y| of exact, so the bound is
+        that times ``top`` / ``scale``; it is inf when y is not finite.
+        """
+        error = self.error_bound
+        valid = np.isfinite(error) and np.isfinite(top) and scale > 0.0
+        return error * top / scale if valid else np.inf
+
+    def vector(self, load: np.ndarray, bounded: bool) -> tuple[np.ndarray, float | None]:
+        """A^-1 b on the interior nodes by one transposed split solve, and its forward-error bound.
+
+        b is the interior ``load``, put into the u-rows times their scales.
+        The bound, that of :meth:`_bound`, reads None when ``bounded`` is
+        false, which skips the condition estimate.
+        """
+        loads = np.zeros(2 * (self.grid.n - 1))
+        loads[0::2] = load * self.scale[0::2]
+        y = self._solve_transposed(self._scale(loads))
+        u = y[1::2]
+        bound = self._bound(_max_abs(y), _max_abs(u)) if bounded else None
+        return self._scale(u), bound
+
+    def kernel(self) -> tuple[np.ndarray, float]:
+        """The kernel from unit loads: column j solves A g = e_j / spacing, and its bound.
+
+        G is the kernel of L**2 + p L + C itself, not of its rounded band.
+        Only the lower triangle is solved, in blocks of ``_KERNEL_BLOCK``
+        columns: the block from column j0 on takes one transposed solve on the
+        trailing factors from row 2 j0 - 2, whose rows from 2 j0 on equal
+        those of a full solve bit for bit.  Each block goes straight into the kernel, with
+        its transpose in the rows above it and its diagonal block mirrored, so
+        G equals G.T exactly.
+
+        The bound, on max|G - G_exact| / max|G|, is read from the scaled LU
+        factors and one condition estimate, and no residual of G is formed.
+        Every block solve is a transposed solve with a Schur complement of
+        M D, so the bound of the full solve covers it, with max|y| taken over
+        the rows the block returns (the argument is in
+        :meth:`_solve_transposed`).  The vector solves share this bound.
+        """
+        grid = self.grid
+        m = grid.n - 1
+        vals = np.zeros((m + 2, m + 2))  # rows and columns 0 and n stay zero
+        inner = vals[1:-1, 1:-1]  # interior nodes numbered from 0
+        top = 0.0  # max|y| over every row the solves return
+        scale = 0.0  # max|G| over the solved lower triangle
+        keep = np.tri(_KERNEL_BLOCK, dtype=bool)  # on and below the diagonal
+        load = self._scale(1.0 / grid.spacing)
+        load_scale = self.scale[0::2]  # D on the u-columns, node by node
+        for j0 in range(0, m, _KERNEL_BLOCK):
+            j1 = min(j0 + _KERNEL_BLOCK, m)
+            width = j1 - j0
+            # column j loads u-row 2 j; rows from 2 j0 on are exact from this start
+            start = max(2 * j0 - 2, 0)
+            loads = np.zeros((2 * m - start, width), order="F")
+            loads[2 * j0 - start + 2 * np.arange(width), np.arange(width)] = load * load_scale[j0:j1]
+            y = self._solve_transposed(loads, start)
+            top = max(top, _max_abs(y))
+            kernel = y[2 * j0 - start + 1 :: 2]  # the v-rows hold A^-1 e_j / spacing, rows j0 on
+            block = kernel[:width]
+            # the diagonal block keeps its lower triangle, mirrored above the diagonal
+            inner[j0:j1, j0:j1] = np.where(keep[:width, :width], block, block.T)
+            inner[j1:, j0:j1] = kernel[width:]
+            inner[j0:j1, j1:] = kernel[width:].T
+            scale = max(scale, _max_abs(inner[j0:, j0:j1]))
+        # the bound per max|y| becomes one per max|G|; the u-rows hold (L + p) G
+        return self._scale(vals), self._bound(top, scale)
 
 
 def _band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -466,45 +466,18 @@ def _resonance_error(op: OperatorMatrix, cause: str = "") -> ResonanceError:
     )
 
 
-def _mode_error(
-    op: OperatorMatrix, denom: np.ndarray, slack: np.ndarray, bound: float, subject: str
-) -> ResonanceError:
-    # a closed-form bound missed: name the mode nearest its own rounding
-    k = int(np.argmin(np.abs(denom) / slack))
-    return _resonance_error(
-        op,
-        f"the {subject}'s forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g} "
-        f"(discrete mode k = {k + 1}: beta_k + c = {denom[k]:.3e}); ",
-    )
+def _checked(op: OperatorMatrix, bound: float, subject: str) -> float:
+    """``bound`` when it is at most ``_KERNEL_RTOL``, else the ResonanceError that reports it.
 
-
-def _fft_error(n: int, norm: float) -> float:
-    """A bound on ||fl(F x) - F x||_2, F the FFT of length N = 2n and ``norm`` = ||x||_2.
-
-    t eta / (1 - t eta) sqrt(N) ||x||_2, t = ceil(log2 N) stages and
-    eta = mu + gamma_4 (sqrt(2) + mu) for twiddle factors within mu = 2u
-    (Higham 2002, Theorem 24.2, for radix 2; pocketfft mixes radices), plus
-    2 N t 2**-1074 for roundings that underflow.
+    The one check of every forward-error bound, kernels and vectors on both
+    paths; the path's ``note`` names the sine transform's nearest mode.
     """
-    stages = (2 * n - 1).bit_length()  # ceil(log2 N)
-    eta = 2 * _U + _GAMMA4 * (math.sqrt(2.0) + 2 * _U)
-    return stages * eta / (1.0 - stages * eta) * math.sqrt(2 * n) * norm + 4 * n * stages * _TINY
-
-
-def _modal_error(w: np.ndarray, denom: np.ndarray, slack: np.ndarray) -> float:
-    """A bound on each entry's error of sum_k w_k phi_k, |phi_k| <= 1, taken by one FFT.
-
-    The weights w_k = fl(y_k / d_k) divide by the modal denominators of
-    :meth:`OperatorMatrix._modes` (y_k = 1 for a kernel).  As |d_k - d_k exact|
-    <= e_k < |d_k|, each is within rho_k |w_k|, rho_k = (e_k / (|d_k| - e_k)
-    + u) / (1 - u), or 2**-1074 where it underflows, of y_k / d_k exact; the
-    FFT of length 2n that sums them adds :func:`_fft_error` of ||w||_2,
-    which also covers a sine sum: half the FFT of an odd extension of
-    2-norm sqrt(2) ||w||_2.
-    """
-    n = len(w) + 1
-    rho = (slack / (np.abs(denom) - slack) + _U) / (1.0 - _U)
-    return float(rho @ np.abs(w)) + n * _TINY + _fft_error(n, _norm2(w))
+    if not bound <= _KERNEL_RTOL:
+        note = op._path.note
+        raise _resonance_error(
+            op, f"the {subject}'s forward-error bound {bound:.3e} exceeds {_KERNEL_RTOL:g}{note}; "
+        )
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +503,11 @@ def _solve_vector(
     is solved scaled by a power of two to max|rhs| in [1/2, 1), which moves
     no bit of a solve that neither overflows nor underflows, and u is scaled
     back; a u beyond float64 is the "overflows float64" ValueError.  A zero
-    ``rhs`` returns u = 0, bound 0.  With ``bounded`` false the bound reads
-    None and only a breakdown, which a u beyond float64 then counts as, or
-    a modal denominator within its rounding, raises ResonanceError.
+    ``rhs`` returns u = 0, bound 0.  A bound above ``_KERNEL_RTOL`` raises
+    the ResonanceError of :func:`_checked`.  With ``bounded`` false the
+    bound reads None; ResonanceError is then raised for a modal denominator
+    within its rounding, and for a u beyond float64 whose x is not finite
+    or whose bound, taken then, misses ``_KERNEL_RTOL`` (a breakdown).
     """
     inner = np.asarray(rhs, dtype=np.float64)[1:-1]
     top = _max_abs(inner)
@@ -541,73 +516,20 @@ def _solve_vector(
         return u, 0.0
     exponent = math.frexp(top)[1]  # 0 for an inf or nan load, which is left as it is
     load = np.ldexp(inner, -exponent)
-    modes = op._modes("solve")
-    if modes is None:
-        x, bound = _split_vector(op, load, bounded)
-    else:
-        x, bound = _closed_form_vector(op, load, *modes, bounded)
+    x, bound = op._path.vector(load, bounded)
+    if bound is not None:
+        _checked(op, bound, "solve")
     with np.errstate(over="ignore"):
         u[1:-1] = np.ldexp(x, exponent)
-    if not np.isfinite(_max_abs(u)):
-        if bound is None:
-            raise _resonance_error(op, "the solve breaks down; ")
-        raise _overflow("the solution", op.p, op.grid.interval)
-    return u, bound
-
-
-def _closed_form_vector(
-    op: OperatorMatrix, load: np.ndarray, denom: np.ndarray, slack: np.ndarray, bounded: bool
-) -> tuple[np.ndarray, float | None]:
-    """u = A^-1 b = (2 / n) S diag(1 / d_k) S b on the interior nodes, and its a-priori bound.
-
-    b is the interior ``load``, S the DST-I, one FFT of length 2n
-    (``spectrum._dst1``), and d_k, e_k those of :meth:`OperatorMatrix._modes`.
-    y = S b is within sigma_1 = _fft_error(n, ||b||_2) of exact in the 2-norm, so, by
-    Cauchy-Schwarz and |d_k exact| >= |d_k| - e_k, the weights z = y / d
-    take at most sigma_1 ||1 / (|d_k| - e_k)||_2 in the 1-norm; fl(y / d)
-    and S z add :func:`_modal_error`, and the rounded factor 2 / n two
-    roundings.  So max|u - u_exact| <= (2 / n) sigma + gamma_2 / (1 - gamma_2)
-    max|u|, sigma the sum of the first two parts.  A bound above
-    ``_KERNEL_RTOL`` raises the ResonanceError of :func:`_mode_error`.
-    """
-    n = op.grid.n
-    z = _dst1(load) / denom
-    u = _dst1(z) * (2.0 / n)
-    if not bounded:
-        return u, None  # a u that is not finite is a breakdown, for _solve_vector to raise
-    top = _max_abs(u)
-    spread = _norm2(1.0 / (np.abs(denom) - slack))
-    sigma = _fft_error(n, _norm2(load)) * spread + _modal_error(z, denom, slack)
-    error = 2.0 * sigma / n + _TINY
-    bound = _GAMMA2 / (1.0 - _GAMMA2) + error / top if top > 0.0 else np.inf
-    if not bound <= _KERNEL_RTOL:
-        raise _mode_error(op, denom, slack, bound, "solve")
-    return u, bound
-
-
-def _split_vector(
-    op: OperatorMatrix, load: np.ndarray, bounded: bool = True
-) -> tuple[np.ndarray, float | None]:
-    """A^-1 b on the interior nodes by one transposed split solve, and its forward-error bound.
-
-    M^T y = (b, 0), with the interior ``load`` b in the u-rows, leaves A^-1 b
-    in the v-rows; it is solved on the scaled factors with the load times
-    the u-columns' scales.  The bound, on max|u - u_exact| / max|u|, and its
-    ResonanceError are those of :func:`_split_solve_error`.  With ``bounded``
-    false the condition estimate is skipped, the bound reads None, and
-    ResonanceError is raised only when M is singular or y is not finite.
-    """
-    loads = np.zeros(2 * (op.grid.n - 1))
-    loads[0::2] = load * op._split_factors()[2][0::2]
-    y = op._solve_split_transposed(_split_scale(op, loads))
-    u = y[1::2]
-    if bounded:
-        bound = _split_solve_error(op, _max_abs(y), _max_abs(u), "solve")
-    elif op._split_factors()[3] != 0 or not np.isfinite(_max_abs(y)):
+    if np.isfinite(_max_abs(u)):
+        return u, bound
+    # without its bound a solve cannot tell a u beyond float64 from a
+    # breakdown: a finite x is the former when the bound, taken now, holds
+    if bound is None and not (
+        np.isfinite(_max_abs(x)) and op._path.vector(load, True)[1] <= _KERNEL_RTOL
+    ):
         raise _resonance_error(op, "the solve breaks down; ")
-    else:
-        bound = None
-    return _split_scale(op, u), bound
+    raise _overflow("the solution", op.p, op.grid.interval)
 
 
 @dataclass(eq=False)
@@ -691,9 +613,10 @@ def fixed_point_solve(
     :class:`~beamsign.errors.ConvergenceError`, with the bound in the
     message when the steps met ``tol``, when ``max_iter`` steps do not get
     there, and ResonanceError where :func:`direct_solve` would with c, and
-    when T[p, d] is singular or a step is not finite.  An ill-conditioned
-    but nonsingular T[p, d] raises nothing itself: the bound from the solve
-    with c answers for the result, or ConvergenceError ends the run.
+    when T[p, d] is singular; a step beyond float64 on a regular T[p, d] is
+    the "overflows float64" ValueError.  An ill-conditioned but nonsingular
+    T[p, d] raises nothing itself: the bound from the solve with c answers
+    for the result, or ConvergenceError ends the run.
 
     Only homogeneous end moments are supported (d1 = d2 = 0).  By default the
     matching amplified-load hypotheses are verified first and a ValueError is

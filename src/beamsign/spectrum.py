@@ -83,40 +83,6 @@ def _discrete_top(p: float, grid: Grid) -> float:
     )
 
 
-def _discrete_beta(p: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """mu_k and beta_k = mu_k^2 + p mu_k, k = 1 .. n - 1, the eigenvalues of L and L^2 + p L.
-
-    mu_k = (2 sin(k pi / 2n) / h)^2 with h = ``grid.spacing``, and the DST-I
-    diagonalises both matrices: their k-th eigenvector is sin(i k pi / n).
-    Both sequences increase with k.  Each mu_k is within gamma_15 of its
-    exact value, relative, when no step underflows (u = 2**-53, gamma_k =
-    k u / (1 - k u)): the argument takes three roundings (pi, the division
-    and the product), which move sin by about as much relative, since
-    x cot x <= 1 on (0, pi/2); numpy's float64 sin is validated to 1 ulp of
-    the rounded result, at most 3 u relative; then 2 s / h takes one
-    rounding, and the square doubles the seven and adds one.
-    """
-    _discrete_top(p, grid)
-    n = grid.n
-    mu = (2.0 * np.sin(np.arange(1, n) * (np.pi / (2 * n))) / grid.spacing) ** 2
-    return mu, mu * (mu + p)
-
-
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """The DST-I sum_i x[i - 1] sin(i k pi / n), k = 1 .. n - 1, of the n - 1 entries of ``x``.
-
-    Taken as one ``rfft`` of the odd extension (0, x, 0, -x reversed), of
-    length 2n, whose k-th coefficient is -2i times the sum.  The DST-I is
-    its own inverse up to the factor 2 / n.  ``numpy.fft`` loads at the
-    first call, not at import.
-    """
-    n = len(x) + 1
-    ext = np.zeros(2 * n)
-    ext[1:n] = x
-    ext[n + 1 :] = -x[::-1]
-    return np.fft.rfft(ext).imag[1:n] * -0.5
-
-
 def lambda_k(p: float, interval: Interval, k: int) -> float:
     """k-th eigenvalue (k pi/L)^4 + p (k pi/L)^2 of the hinged operator."""
     require_p(p)

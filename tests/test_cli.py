@@ -171,7 +171,7 @@ def test_exit_code_for_usage_errors(capsys):
 def test_exit_code_for_resonance(tmp_path, capsys):
     # c on the discrete eigenvalue -beta_1 of the default grid, n = 400; the
     # continuous -pi^4 lies 1e-3 from it and solves
-    from beamsign.spectrum import _discrete_beta
+    from beamsign._sine import _discrete_beta
 
     beta = _discrete_beta(0.0, beamsign.Grid(beamsign.Interval(0.0, 1.0), 400))[1]
     path = write_problem(tmp_path, BASE.format(c=repr(-float(beta[0]))))

@@ -19,13 +19,15 @@ solve also stays within its own ``forward_error_bound``.
 For variable c the reference is A^-1 inverted densely at 50 digits, so
 those cases stay at small n.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from beamsign import Grid, Interval, ProblemSpec, ScalarField, direct_solve, fixed_point_solve
-from beamsign import superposition_solve
+from beamsign import solver, superposition_solve
 from beamsign.greens import y_boundary
-from beamsign.solver import _rhs_vector, _split_vector, assemble, smallest_eigenvalue
+from beamsign.solver import assemble, smallest_eigenvalue
 from sine_transform import (
     VARIABLE_COEFFICIENTS,
     modal_denominators,
@@ -93,10 +95,10 @@ def _vector_solve(name, problem, **fixed_point_options):
         same = ProblemSpec(grid.interval, problem.p, problem.c, ScalarField(grid, load))
         return y.values, direct_solve(same).forward_error_bound, load
     if name == "split":
-        # the split solve that variable c takes, called on any c
-        op = assemble(problem.p, problem.c, problem.grid)
-        u, bound = _split_vector(op, _rhs_vector(op, problem)[1:-1])
-        return np.pad(u, 1), bound, problem.h.values
+        # the split solve that variable c takes, forced on any c
+        with mock.patch.object(solver, "_modal_path", return_value=None):
+            sol = direct_solve(problem)
+        return sol.u.values, sol.forward_error_bound, problem.h.values
     sol = {
         "direct": direct_solve,
         "superposition": superposition_solve,

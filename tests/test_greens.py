@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from beamsign import Grid, Interval, ProblemSpec, ScalarField, direct_solve, sup_norm
+from beamsign import Grid, Interval, ProblemSpec, ScalarField, direct_solve, solver, sup_norm
+from beamsign._sine import _discrete_beta
 from beamsign.errors import ResonanceError
 from beamsign.greens import (
     GreensMatrix,
-    _split_kernel,
     char_roots,
     greens_constant,
     greens_discrete,
@@ -13,7 +15,7 @@ from beamsign.greens import (
     y_boundary,
 )
 from beamsign.solver import assemble, smallest_eigenvalue
-from beamsign.spectrum import _discrete_beta, lambda_k
+from beamsign.spectrum import lambda_k
 from sine_transform import (
     VARIABLE_COEFFICIENTS,
     mpmath_denominators,
@@ -26,9 +28,11 @@ UNIT = Interval(0.0, 1.0)
 
 
 def _split(p, c, grid):
-    # the split path on its own, whatever c is; the closed-form reference checks
-    # below run on it and on greens_discrete, which takes the closed form for constant c
-    return _split_kernel(assemble(p, c, grid))
+    # greens_discrete on the split path, whatever c is; the closed-form reference
+    # checks below run on it and on greens_discrete, which takes the closed form
+    # for constant c
+    with mock.patch.object(solver, "_modal_path", return_value=None):
+        return greens_discrete(p, c, grid)
 
 
 def test_char_roots_examples():
@@ -225,8 +229,6 @@ def test_the_scaled_factors_bound_coefficients_that_dwarf_the_stencil():
 def test_each_factorization_takes_one_condition_estimate(monkeypatch):
     # one condition estimate per factorization, on the column-scaled factors,
     # at c = 1e8 as on the common path: no second estimate is taken
-    from beamsign import solver
-
     lapack = solver._lapack()
     estimate = lapack.dgbcon
     calls = []
@@ -260,21 +262,20 @@ def test_greens_discrete_mirrors_the_lower_triangle_of_one_full_solve(n):
     ]
     pivoted = False
     for p, cv in cases:
-        op = assemble(p, ScalarField(grid, cv), grid)
-        G = _split_kernel(op)
+        split = solver._Split(assemble(p, ScalarField(grid, cv), grid))  # constant c too
+        values, bound = split.kernel()
         loads = np.zeros((2 * m, m), order="F")
-        scale = op._split_factors()[2]
-        loads[np.arange(0, 2 * m, 2), np.arange(m)] = (1.0 / grid.spacing) * scale[0::2]
-        y = op._solve_split_transposed(loads)
-        error = op._split_error_bound()
-        inner = G.values[1:-1, 1:-1]
+        loads[np.arange(0, 2 * m, 2), np.arange(m)] = (1.0 / grid.spacing) * split.scale[0::2]
+        y = split._solve_transposed(loads)
+        error = split.error_bound
+        inner = values[1:-1, 1:-1]
         lower = np.tril_indices(m)
         assert np.array_equal(inner[lower], y[1::2][lower])
-        assert np.array_equal(G.values, G.values.T)
+        assert np.array_equal(values, values.T)
         # the full solve's bound for this kernel: the rows the blocks return
         # hold no value larger than max|y| of the full solve
-        assert G.forward_error_bound <= error * np.max(np.abs(y)) / np.max(np.abs(inner))
-        pivoted |= bool(np.any(op._split[1] != np.arange(2 * m)))
+        assert bound <= error * np.max(np.abs(y)) / np.max(np.abs(inner))
+        pivoted |= bool(np.any(split.piv != np.arange(2 * m)))
     assert pivoted
 
 
@@ -348,15 +349,15 @@ def test_the_split_kernel_matches_an_mpmath_inverse(n):
 def test_interior_constant_c_takes_the_closed_form(monkeypatch):
     # the end values of c never enter the interior block; one interior node
     # off by one ulp is variable c and takes the split path
-    from beamsign import greens
+    from beamsign import _sine
 
     taken = []
-    for name in ("_closed_form_kernel", "_split_kernel"):
-        def recording(*args, _name=name, _build=getattr(greens, name)):
-            taken.append(_name)
-            return _build(*args)
+    for path in (_sine._Modes, solver._Split):
+        def recording(self, _path=path, _build=path.kernel):
+            taken.append(_path)
+            return _build(self)
 
-        monkeypatch.setattr(greens, name, recording)
+        monkeypatch.setattr(path, "kernel", recording)
     n = 200
     grid = Grid(UNIT, n)
     cols = np.arange(1, n)
@@ -365,7 +366,7 @@ def test_interior_constant_c_takes_the_closed_form(monkeypatch):
     cv[[0, -1]] = (7.0, -300.0)
     perturbed = cv.copy()
     perturbed[57] = np.nextafter(-80.0, 0.0)
-    for values, path in ((cv, "_closed_form_kernel"), (perturbed, "_split_kernel")):
+    for values, path in ((cv, _sine._Modes), (perturbed, solver._Split)):
         G = greens_discrete(5.0, ScalarField(grid, values), grid)
         assert taken[-1] == path
         err = np.max(np.abs(G.values[:, cols] - ref)) / np.max(np.abs(ref))

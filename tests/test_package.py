@@ -52,13 +52,25 @@ def test_imports_load_only_what_a_call_uses():
     ]
 
 
+def test_the_sine_transform_sits_below_the_solver():
+    # beamsign._sine is a leaf that the solver and greens import, and the
+    # spectral thresholds load neither it nor numpy.fft
+    loaded = _modules_loaded_by("import beamsign._sine")
+    assert "beamsign.solver" not in loaded
+    assert "beamsign.greens" not in loaded
+    assert "beamsign._sine" not in _modules_loaded_by("import beamsign.spectrum")
+    assert "numpy.fft" not in _modules_loaded_by("import beamsign.spectrum", "numpy")
+
+
 def test_the_lazy_name_table_matches_each_module():
     import importlib
     from pathlib import Path
 
+    # every public module but the command line; private modules, such as
+    # _sine, export nothing
     package = Path(beamsign.__file__).parent
-    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "cli"}
-    assert set(beamsign._EXPORTS) == modules
+    modules = {path.stem for path in package.glob("*.py") if not path.stem.startswith("_")}
+    assert set(beamsign._EXPORTS) == modules - {"cli"}
     for module, names in beamsign._EXPORTS.items():
         assert names == tuple(importlib.import_module(f"beamsign.{module}").__all__)
     # submodules resolve as attributes, as they did when the package imported them all

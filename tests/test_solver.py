@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from beamsign import (
     greens_discrete,
     parse_expression,
     sign_certificate,
+    solver,
     sup_norm,
     superposition_solve,
     y_boundary,
@@ -27,6 +30,12 @@ from beamsign.solver import (
 from sine_transform import mpmath_split_solve, mpmath_sine_transform_solve, sine_transform_solve
 
 UNIT = Interval(0.0, 1.0)
+
+
+def _on_the_split_path(solve, *args):
+    # the split path that variable c takes, forced on any c
+    with mock.patch.object(solver, "_modal_path", return_value=None):
+        return solve(*args)
 
 
 def unit_problem(n, c_value, h_value=1.0, p=0.0, d1=0.0, d2=0.0):
@@ -128,8 +137,7 @@ def test_constant_c_bound_holds_at_the_ends_of_the_float64_range():
 def test_direct_solve_resonance_is_reported():
     # on the discrete eigenvalue -beta_1 the modal denominator beta_1 + c is
     # exactly zero: the discrete-mode error, as the closed-form kernel's
-    from beamsign import solver
-    from beamsign.spectrum import _discrete_beta
+    from beamsign._sine import _discrete_beta
 
     _, beta = _discrete_beta(0.0, Grid(UNIT, 200))
     with pytest.raises(ResonanceError) as info:
@@ -147,8 +155,7 @@ def test_direct_solve_resonance_is_reported():
     problem = unit_problem(200, -np.pi**4)
     sol = direct_solve(problem)
     assert 1e-10 < sol.forward_error_bound < 1e-9
-    op = assemble(0.0, problem.c)
-    assert 1e-5 < solver._split_vector(op, solver._rhs_vector(op, problem)[1:-1])[1] < 1e-3
+    assert 1e-5 < _on_the_split_path(direct_solve, problem).forward_error_bound < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -179,20 +186,37 @@ def test_a_solution_beyond_float64_is_an_input_error(c_of):
         direct_solve(problem)
 
 
+def test_a_fixed_point_step_beyond_float64_is_the_same_input_error():
+    # on [0, 100] with c = 5e-6 + 1e-5 sin(pi t / 100) and h = 1e304, sup|u|
+    # is about 1e309; the run's steps are solves without a bound, on a
+    # frozen operator that is far from singular, so its first step raises
+    # the ValueError of direct_solve, not a breakdown ResonanceError
+    interval = Interval(0.0, 100.0)
+    grid = Grid(interval, 200)
+    c = ScalarField(grid, 5e-6 + 1e-5 * np.sin(np.pi * grid.nodes / 100.0))
+    problem = ProblemSpec(interval, 0.0, c, ScalarField.constant(grid, 1e304))
+    message = "^the solution overflows float64 at p = 0.0 .* L = 100.0$"
+    with pytest.raises(ValueError, match=message) as direct:
+        direct_solve(problem)
+    with pytest.raises(ValueError, match=message) as fixed:
+        fixed_point_solve(problem, mode="positive", check_hypotheses=False)
+    assert str(fixed.value) == str(direct.value)
+
+
 def test_a_fixed_point_run_decides_the_path_once_per_operator(monkeypatch):
     # the frozen coefficient d = -lambda3 is constant: its modal denominators
     # are computed at the first step and kept, and so are those of the
     # reference solve with c, so two operators take two computations
-    from beamsign import solver
+    from beamsign import _sine
 
     calls = []
-    beta = solver._discrete_beta
+    beta = _sine._discrete_beta
 
     def counting(p, grid):
         calls.append(grid.n)
         return beta(p, grid)
 
-    monkeypatch.setattr(solver, "_discrete_beta", counting)
+    monkeypatch.setattr(_sine, "_discrete_beta", counting)
     run = fixed_point_solve(unit_problem(200, -250.0), mode="negative", tol=1e-10)
     assert run.solution.iterations >= 3
     assert calls == [200, 200]
@@ -201,7 +225,7 @@ def test_a_fixed_point_run_decides_the_path_once_per_operator(monkeypatch):
 def test_a_resonant_constant_c_solve_assembles_once(monkeypatch):
     # the discrete-mode error names the operator of the solve, with no second one
     from beamsign import solver
-    from beamsign.spectrum import _discrete_beta
+    from beamsign._sine import _discrete_beta
 
     calls = []
     build = solver.assemble
@@ -526,14 +550,12 @@ def test_each_operator_is_factored_once(monkeypatch):
     assert calls == []
     # the split kernel and every variable-c vector solve: one factorization, of
     # the split system, at n = 200 and at n = 400 alike
-    from beamsign import greens
-
     for n in (200, 400):
         grid = Grid(UNIT, n)
         c = ScalarField(grid, -60.0 + 40.0 * np.cos(2.0 * grid.nodes))
         problem = ProblemSpec(UNIT, 5.0, c, ScalarField.constant(grid, 1.0))
         solves = [
-            lambda: greens._split_kernel(assemble(0.0, ScalarField.constant(grid, 0.0), grid)),
+            lambda: _on_the_split_path(greens_discrete, 0.0, ScalarField.constant(grid, 0.0), grid),
             lambda: direct_solve(problem),
             lambda: superposition_solve(ProblemSpec(UNIT, 5.0, c, problem.h, d1=-1.0)),
             lambda: fixed_point_solve(problem, mode="negative", check_hypotheses=False),
@@ -543,7 +565,7 @@ def test_each_operator_is_factored_once(monkeypatch):
             calls.clear()
             solve()
             assert calls == [2 * (n - 1)]
-        G = greens._split_kernel(assemble(0.0, ScalarField.constant(grid, 0.0), grid))
+        G = _on_the_split_path(greens_discrete, 0.0, ScalarField.constant(grid, 0.0), grid)
         assert G.values.dtype == np.float64
         # greens_discrete takes the closed form for constant c: no factorization at all
         calls.clear()
@@ -664,7 +686,8 @@ def test_superposition_resonance_names_the_discrete_mode():
     # on beta_k itself the modal denominator is exactly zero: every vector
     # solve raises the closed-form kernel's error, naming the solve, before
     # any division
-    from beamsign.spectrum import _discrete_beta, lambda_k
+    from beamsign._sine import _discrete_beta
+    from beamsign.spectrum import lambda_k
 
     grid = Grid(UNIT, 200)
     h = ScalarField.constant(grid, 1.0)
@@ -690,7 +713,7 @@ def test_superposition_makes_no_matrix_solve(monkeypatch):
     from beamsign import solver
 
     split, estimates = [], []
-    solve_split = solver.OperatorMatrix._solve_split_transposed
+    solve_split = solver._Split._solve_transposed
     split_error = solver._split_error
 
     def recording_split(self, rhs, start=0):
@@ -701,7 +724,7 @@ def test_superposition_makes_no_matrix_solve(monkeypatch):
         estimates.append(1)
         return split_error(*args)
 
-    monkeypatch.setattr(solver.OperatorMatrix, "_solve_split_transposed", recording_split)
+    monkeypatch.setattr(solver._Split, "_solve_transposed", recording_split)
     monkeypatch.setattr(solver, "_split_error", recording_error)
     for n in (8, 200, 600):
         grid = Grid(UNIT, n)
@@ -778,7 +801,8 @@ def test_superposition_agrees_with_the_untransposed_kernel_solve():
             expected = sine_transform_solve(p, cv[0], n, grid.spacing, rhs)
             assert np.max(np.abs(u - expected)) <= 1e-12 * np.max(np.abs(expected))
             continue
-        lu, piv, scale = op._split_factors()[:3]
+        split = op._path
+        lu, piv, scale = split.lu, split.piv, split.scale
         b = np.zeros(2 * (n - 1))
         b[1::2] = rhs[1:-1]
         x = solver._lapack().dgbtrs(lu, 2, 2, b, piv)[0] * scale
@@ -871,8 +895,7 @@ def test_constant_c_superposition_agrees_with_the_split_solve_at_large_n():
     for n, p, cv in ((1280, 50.0, -97.0), (1000, 0.0, -80.0)):
         problem = _constant_c_problem(n, p, cv, d1=-0.5, d2=-0.25)
         u = np.asarray(superposition_solve(problem).u.values, dtype=np.float64)
-        op = assemble(p, problem.c)
-        ref = np.pad(solver._split_vector(op, solver._rhs_vector(op, problem)[1:-1])[0], 1)
+        ref = _on_the_split_path(direct_solve, problem).u.values
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -983,9 +1006,6 @@ def test_the_column_scales_move_no_bit_of_a_split_solve_above_underflow(
     # c L^4 reaches far past 2 n^2, and so does p L^2 at small n; a negative
     # c lies far below -spectrum(L^2 + p L).  Over 2000 such draws the kernels
     # of 603 differed, only in entries below 2**-1019 and by under 2**-1060
-    from unittest import mock
-
-    from beamsign import greens, solver
     from beamsign.spectrum import _discrete_top
 
     n = 2 * half_n
@@ -1004,23 +1024,23 @@ def test_the_column_scales_move_no_bit_of_a_split_solve_above_underflow(
     plain = np.asfortranarray(ab / scale)  # M itself: dividing by D is exact
     lu, piv, info = lapack.dgbtrf(plain, 2, 2)
     assert info == 0
-    assert np.array_equal(piv, op._split_factors()[1])  # M's pivots
+    split = op._path
+    assert np.array_equal(piv, split.piv)  # M's pivots
 
     m = n - 1
     load = 0.75 + 0.2 * np.cos(5.0 * np.pi * t[1:-1] / length)
     loads = np.zeros(2 * m)
     loads[0::2] = load
-    y = lapack.dgbtrs(lu, 2, 2, solver._split_scale(op, loads), piv, trans=1)[0]
-    u, _ = solver._split_vector(op, load, bounded=False)
-    assert np.array_equal(u, solver._split_scale(op, y[1::2]))
+    y = lapack.dgbtrs(lu, 2, 2, split._scale(loads), piv, trans=1)[0]
+    u, _ = split.vector(load, bounded=False)
+    assert np.array_equal(u, split._scale(y[1::2]))
 
     loads = np.zeros((2 * m, m), order="F")
-    loads[np.arange(0, 2 * m, 2), np.arange(m)] = solver._split_scale(op, 1.0 / grid.spacing)
+    loads[np.arange(0, 2 * m, 2), np.arange(m)] = split._scale(1.0 / grid.spacing)
     y = lapack.dgbtrs(lu, 2, 2, loads, piv, trans=1)[0]
-    with mock.patch.object(greens, "_split_solve_error", return_value=0.0):  # values, not the gate
-        G = greens._split_kernel(op).values[1:-1, 1:-1]
+    G = split.kernel()[0][1:-1, 1:-1]  # the values, which no bound gates here
     lower = np.tril_indices(m)
-    kernel, expected = G[lower], solver._split_scale(op, y[1::2])[lower]
+    kernel, expected = G[lower], split._scale(y[1::2])[lower]
     underflow = np.maximum(np.abs(kernel), np.abs(expected)) < 2.0**-1000
     assert np.all((kernel == expected) | underflow)
     assert np.max(np.abs(kernel - expected)) < 2.0**-1022

@@ -289,7 +289,7 @@ def test_spectral_quantities_name_the_interval_when_they_overflow():
 
 @pytest.mark.parametrize("n", [2, 3, 8, 250])
 def test_dst1_matches_the_dense_sine_matrix(n):
-    from beamsign.spectrum import _dst1
+    from beamsign._sine import _dst1
 
     x = np.random.default_rng(n).standard_normal(n - 1)
     k = np.arange(1, n)
