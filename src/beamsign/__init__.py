@@ -21,10 +21,10 @@ _EXPORTS = {
     "expressions": ("ExpressionError", "Expression", "parse_expression"),
     "fields": (
         "Interval", "Grid", "ScalarField", "ProblemSpec", "extrema", "split_signs",
-        "integrate", "sup_norm", "l2_norm", "diff",
+        "integrate", "sup_norm", "diff",
     ),
     "greens": (
-        "GreensMatrix", "GreensSignReport", "char_roots", "greens_constant",
+        "GreensMatrix", "GreensSignReport", "greens_constant",
         "greens_discrete", "y_boundary", "sign_scan",
     ),
     "principles": (

@@ -22,7 +22,6 @@ __all__ = [
     "split_signs",
     "integrate",
     "sup_norm",
-    "l2_norm",
     "diff",
 ]
 
@@ -166,7 +165,7 @@ def sup_norm(f: ScalarField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quadrature and norms
+# quadrature
 
 
 def _simpson(y: np.ndarray, dx: float) -> float:
@@ -193,12 +192,6 @@ def _simpson(y: np.ndarray, dx: float) -> float:
 def integrate(f: ScalarField) -> float:
     """Composite Simpson integral over the grid interval (exact for cubics)."""
     return _simpson(np.asarray(f.values, dtype=np.float64), f.grid.spacing)
-
-
-def l2_norm(f: ScalarField) -> float:
-    v = np.asarray(f.values, dtype=np.float64)
-    val = _simpson(v * v, f.grid.spacing)
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def diff(f: ScalarField, order: int) -> ScalarField:

@@ -12,7 +12,6 @@ scaled unit loads; both are built by the operator's solve path (see
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,11 @@ import numpy as np
 from ._sine import _cosine_kernel, _max_abs, _slack
 from .errors import ResonanceError
 from .fields import Grid, ScalarField, require_p
-from .solver import _checked, _resolve_grid, _solve_vector, assemble
+from .solver import _checked, _solve_vector, assemble
 
 __all__ = [
     "GreensMatrix",
     "GreensSignReport",
-    "char_roots",
     "greens_constant",
     "greens_discrete",
     "y_boundary",
@@ -38,8 +36,8 @@ class GreensMatrix:
     """Kernel samples G[i, j] ~ g(t_i, s_j) on a shared grid.
 
     Rows and columns at the boundary nodes are identically zero.  For the
-    series construction ``tail_bound`` carries a bound on the truncated
-    remainder at the returned entries; for the discrete one
+    series construction (:func:`greens_constant`, 2000 modes) ``tail_bound``
+    bounds the modes left out at every entry; for the discrete one
     ``forward_error_bound`` bounds max|G - G_exact| / max|G| against the
     exact kernel of the discrete operator (see :func:`greens_discrete`).
     For c constant on the interior nodes that bound is an a-priori rounding
@@ -73,28 +71,17 @@ class GreensSignReport:
     conclusion: str  # strongly_inverse_positive | strongly_inverse_negative | inconclusive
 
 
-def char_roots(p: float, m: float) -> tuple[complex, complex, complex, complex]:
-    """The four roots of r^4 - p r^2 + m = 0, via the quadratic in r^2."""
-    half = p / 2.0
-    disc = cmath.sqrt(complex(half * half - m))
-    roots = []
-    for z in (half + disc, half - disc):
-        r = cmath.sqrt(z)
-        roots.extend((r, -r))
-    return tuple(roots)
+def greens_constant(p: float, m: float, grid: Grid) -> GreensMatrix:
+    """Series kernel (2/L) sum_k sin(k pi x/L) sin(k pi y/L) / (lambda_k + m) over 2000 modes.
 
-
-def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> GreensMatrix:
-    """Series kernel (2/L) sum_k sin(k pi x/L) sin(k pi y/L) / (lambda_k + m).
-
-    Requires at least 50 terms and a truncation order past the last sign
-    change of the modal denominators.  A denominator lambda_k + m within
+    ``tail_bound`` bounds the modes left out.  A ValueError reports an m at
+    or below -lambda_2000, where the series would stop before the modal
+    denominators turn positive.  A denominator lambda_k + m within
     gamma_36 (lambda_k + |m|) of zero, the slack of the discrete kernel's
     beta_k + c, is reported as resonance.
     """
     require_p(p)
-    if terms < 50:
-        raise ValueError(f"the series needs at least 50 terms, got {terms}")
+    terms = 2000  # the modes summed; tail_bound covers the rest
     L = grid.interval.length
     k = np.arange(1, terms + 1, dtype=np.float64)
     w = k * np.pi / L
@@ -110,7 +97,8 @@ def greens_constant(p: float, m: float, grid: Grid, terms: int = 2000) -> Greens
         )
     if denom[-1] <= 0.0:
         raise ValueError(
-            f"terms = {terms} truncates before the modal denominators turn positive; increase it"
+            f"m = {m} leaves lambda_{terms} + m = {denom[-1]:.3e} <= 0: the {terms}-term series "
+            "stops before the modal denominators turn positive"
         )
     # cos(k d pi / n) has period 2n in k: fold the weights mod 2n
     n = grid.n
@@ -162,26 +150,23 @@ def y_boundary(p: float, c: ScalarField, grid: Grid | None, side: str) -> Scalar
     """
     if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    grid = _resolve_grid(c.grid, grid)
-    rhs = np.zeros(grid.n + 1)
-    rhs[1 if side == "a" else -2] = -grid.spacing**-2
-    return ScalarField(grid, _solve_vector(assemble(p, c, grid), rhs)[0])
+    op = assemble(p, c, grid)
+    rhs = np.zeros(op.grid.n + 1)
+    rhs[1 if side == "a" else -2] = -op.grid.spacing**-2
+    return ScalarField(op.grid, _solve_vector(op, rhs)[0])
 
 
-def sign_scan(G: GreensMatrix, grid: Grid | None = None, tol: float | None = None) -> GreensSignReport:
+def sign_scan(G: GreensMatrix) -> GreensSignReport:
     """Scan a kernel for strict interior sign and correct boundary slopes.
 
     The slopes are one-sided differences of each interior column at the two
-    ends; strongly_inverse_positive needs every interior entry above ``tol``,
-    every column entering with positive slope at a and leaving with negative
-    slope at b.  The default tolerance is 1e-9 * max|G|.
+    ends; strongly_inverse_positive needs every interior entry above
+    1e-9 * max|G|, every column entering with positive slope at a and
+    leaving with negative slope at b.
     """
-    grid = _resolve_grid(G.grid, grid)
+    grid = G.grid
     vals = np.asarray(G.values, dtype=np.float64)
-    if tol is None:
-        tol = 1e-9 * _max_abs(vals)
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    tol = 1e-9 * _max_abs(vals)
     interior = vals[1:-1, 1:-1]
     lowest, highest = float(np.min(interior)), float(np.max(interior))
     dx = grid.spacing

@@ -50,10 +50,10 @@ column of L with three entries but lets a row collect hundreds (see
 ``_lu_column_sums``).  The kernel is symmetric too, so only its lower
 triangle is solved (see ``_Split.kernel``).
 
-The rounded pentadiagonal band (``OperatorMatrix.band``) is built only when
-read, by ``OperatorMatrix.apply`` and ``smallest_eigenvalue``; its diagonal
-6/spacing**4 + 2 p/spacing**2 + c loses up to u 6/spacing**4 of c (1.1e-2 at
-n = 2000 on [0, 1], u = 2**-53).
+Only ``smallest_eigenvalue`` reads the rounded pentadiagonal band of A, which
+it builds per call (``_interior_band``); its diagonal 6/spacing**4 +
+2 p/spacing**2 + c loses up to u 6/spacing**4 of c (1.1e-2 at n = 2000 on
+[0, 1], u = 2**-53).
 
 LAPACK comes from scipy's compiled ``scipy.linalg._flapack`` extension, which
 is loaded directly at the first factorization (see ``_lapack``).  Importing
@@ -116,14 +116,6 @@ _KERNEL_BLOCK = 48
 _KERNEL_RTOL = 1e-3
 
 
-def _resolve_grid(own: Grid, given: Grid | None) -> Grid:
-    if given is None:
-        return own
-    if given != own:
-        raise ValueError("explicit grid does not match the grid the fields are sampled on")
-    return own
-
-
 def _lapack():
     """scipy's compiled LAPACK wrappers, the module behind ``scipy.linalg.lapack``.
 
@@ -159,36 +151,11 @@ def _lapack():
 
 @dataclass(eq=False)
 class OperatorMatrix:
-    """The discrete operator of u'''' - p u'' + c(t) u on ``grid``, and the solve path it keeps.
-
-    The path (:attr:`_path`) holds what its solves reuse.  The rounded
-    :attr:`band` is built at each read.
-    """
+    """The discrete operator of u'''' - p u'' + c(t) u on ``grid``, and the solve path it keeps."""
 
     grid: Grid
     p: float
     c: ScalarField
-
-    @property
-    def band(self) -> np.ndarray:
-        """The pentadiagonal matrix in banded (2, 2) storage, built at each read.
-
-        ``band[2 + i - j, j]`` holds A[i, j].  Rows 0 and n are the boundary
-        value conditions; rows 1 and n - 1 carry the ghost-eliminated
-        stencils of the end moments, whose d1/d2 data goes to the right-hand side.
-        """
-        n, p = self.grid.n, self.p
-        inv4, inv2 = self.grid.spacing**-4, self.grid.spacing**-2
-        band = np.zeros((5, n + 1))
-        cv = np.asarray(self.c.values, dtype=np.float64)
-        band[2, 1:n] = 6.0 * inv4 + 2.0 * p * inv2 + cv[1:n]
-        band[2, 1] -= inv4
-        band[2, n - 1] -= inv4
-        band[2, 0] = band[2, n] = 1.0
-        band[1, 2:] = band[3, : n - 1] = -4.0 * inv4 - p * inv2  # A[i, i + 1], A[i, i - 1]
-        band[1, n] = band[3, 0] = -2.0 * inv4 - p * inv2  # after ghost elimination
-        band[0, 3:] = band[4, : n - 2] = inv4  # A[i, i + 2], A[i, i - 2]
-        return band
 
     @cached_property
     def _path(self) -> _Modes | _Split:
@@ -200,25 +167,17 @@ class OperatorMatrix:
         """
         return _modal_path(self.p, self.grid, self.c) or _Split(self)
 
-    def apply(self, values) -> np.ndarray:
-        """A @ values on the band, built in the dtype of ``values`` (rows 0, n: u(a), u(b))."""
-        u = np.asarray(values)
-        if u.dtype.kind != "f":
-            u = u.astype(np.float64)
-        if u.shape[0] != self.grid.n + 1:
-            raise ValueError(f"expected {self.grid.n + 1} samples, got {u.shape[0]}")
-        return _band_matvec(self.band.astype(np.result_type(u, np.float64), copy=False), u)
-
 
 def assemble(p: float, c: ScalarField, grid: Grid | None = None) -> OperatorMatrix:
     """Check and record the discrete operator of u'''' - p u'' + c(t) u with hinged ends.
 
     Raises ValueError when the interval is so short that the operator leaves float64.
     """
-    grid = _resolve_grid(c.grid, grid)
+    if grid is not None and grid != c.grid:
+        raise ValueError("explicit grid does not match the grid the fields are sampled on")
     require_p(p)
-    _discrete_top(p, grid)
-    return OperatorMatrix(grid=grid, p=float(p), c=c)
+    _discrete_top(p, c.grid)
+    return OperatorMatrix(grid=c.grid, p=float(p), c=c)
 
 
 def _split_band(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -437,19 +396,6 @@ class _Split:
         return self._scale(vals), self._bound(top, scale)
 
 
-def _band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # A @ u from the five stored diagonals; u may be a matrix of columns
-    def w(d):
-        return d if u.ndim == 1 else d[:, None]
-
-    out = w(band[2]) * u
-    out[:-1] += w(band[1, 1:]) * u[1:]
-    out[1:] += w(band[3, :-1]) * u[:-1]
-    out[:-2] += w(band[0, 2:]) * u[2:]
-    out[2:] += w(band[4, :-2]) * u[:-2]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # resonance reporting
 
@@ -547,20 +493,19 @@ class SolutionField:
     iterations: int
 
 
-def direct_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionField:
+def direct_solve(problem: ProblemSpec) -> SolutionField:
     """Solve the boundary value problem: the sine transform for constant c, else the split solve.
 
     Raises :class:`~beamsign.errors.ResonanceError`, naming the nearest
     -lambda_k (and for constant c the discrete mode k), when the solve's
     forward-error bound exceeds 1e-3 or the solve breaks down.
     """
-    grid = _resolve_grid(problem.grid, grid)
-    op = assemble(problem.p, problem.c, grid)
+    op = assemble(problem.p, problem.c)
     u, bound = _solve_vector(op, _rhs_vector(op, problem))
-    return SolutionField(ScalarField(grid, u), bound, "direct", 0)
+    return SolutionField(ScalarField(op.grid, u), bound, "direct", 0)
 
 
-def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> SolutionField:
+def superposition_solve(problem: ProblemSpec) -> SolutionField:
     """Solve through the discrete kernel: u = G (h w) + d1 y_a + d2 y_b.
 
     G is the kernel of the interior block (columns for the scaled unit loads
@@ -572,7 +517,7 @@ def superposition_solve(problem: ProblemSpec, grid: Grid | None = None) -> Solut
     the sum is the direct solve, with its u, its bound and its errors,
     under the method label ``superposition``.
     """
-    return replace(direct_solve(problem, grid), method="superposition")
+    return replace(direct_solve(problem), method="superposition")
 
 
 @dataclass(eq=False)
@@ -587,7 +532,6 @@ class FixedPointRun:
 
 def fixed_point_solve(
     problem: ProblemSpec,
-    grid: Grid | None = None,
     mode: str = "positive",
     tol: float = 1e-10,
     max_iter: int = 200,
@@ -613,16 +557,17 @@ def fixed_point_solve(
     :class:`~beamsign.errors.ConvergenceError`, with the bound in the
     message when the steps met ``tol``, when ``max_iter`` steps do not get
     there, and ResonanceError where :func:`direct_solve` would with c, and
-    when T[p, d] is singular; a step beyond float64 on a regular T[p, d] is
-    the "overflows float64" ValueError.  An ill-conditioned but nonsingular
-    T[p, d] raises nothing itself: the bound from the solve with c answers
-    for the result, or ConvergenceError ends the run.
+    when T[p, d] is singular.  A load or iterate beyond float64 is
+    ConvergenceError once a step ratio has reached 1 (the run diverges), and
+    before that the "overflows float64" ValueError.  An ill-conditioned but
+    nonsingular T[p, d] raises nothing itself: the bound from the solve with
+    c answers for the result, or ConvergenceError ends the run.
 
     Only homogeneous end moments are supported (d1 = d2 = 0).  By default the
     matching amplified-load hypotheses are verified first and a ValueError is
     raised when they fail; pass ``check_hypotheses=False`` to iterate anyway.
     """
-    grid = _resolve_grid(problem.grid, grid)
+    grid = problem.grid
     if problem.d1 != 0.0 or problem.d2 != 0.0:
         raise ValueError("fixed-point iteration supports homogeneous end moments only (d1 = d2 = 0)")
     if mode not in ("positive", "negative"):
@@ -650,7 +595,7 @@ def fixed_point_solve(
         frozen = np.minimum(cv, -sd.lambda2)
     else:
         frozen = np.maximum(cv, -sd.lambda3)
-    op = assemble(problem.p, ScalarField(grid, frozen), grid)
+    op = assemble(problem.p, ScalarField(grid, frozen))
     correction = cv - frozen
     hv = np.asarray(problem.h.values, dtype=np.float64)
     static_rhs = not np.any(correction[1:-1])
@@ -661,7 +606,21 @@ def fixed_point_solve(
     reference = None  # (u_c, its bound), solved at the first step below tol
     settled = False
     for _ in range(max_iter):
-        x, bound = _solve_vector(op, hv - correction * u, bounded=static_rhs)
+        with np.errstate(over="ignore"):
+            load = hv - correction * u
+        try:
+            if not np.isfinite(_max_abs(load)):
+                raise _overflow("the load", problem.p, grid.interval)
+            x, bound = _solve_vector(op, load, bounded=static_rhs)
+        except ValueError as exc:  # beyond float64: divergence once the steps grew
+            ratios = [b / a for a, b in zip(diffs, diffs[1:]) if a > 0.0]
+            if not ratios or max(ratios) < 1.0:
+                raise
+            raise ConvergenceError(
+                f"fixed-point iteration diverges: step {len(diffs) + 1} leaves float64 "
+                f"after a step ratio of {max(ratios):.3g}",
+                last_ratio=ratios[-1],
+            ) from exc
         step = _max_abs(x - u)
         iterates.append(ScalarField(grid, x))
         diffs.append(step)
@@ -674,7 +633,7 @@ def fixed_point_solve(
             break
         if step < tol:
             if reference is None:
-                reference = _solve_vector(assemble(problem.p, problem.c, grid), hv)
+                reference = _solve_vector(assemble(problem.p, problem.c), hv)
             u_c, bound_c = reference
             error = _max_abs(u - u_c) + bound_c * _max_abs(u_c)
             if error <= _KERNEL_RTOL * scale:
@@ -715,20 +674,17 @@ class SignCertificate:
     verdict: str  # strongly_positive | strongly_negative | fails
 
 
-def sign_certificate(u, tol: float | None = None) -> SignCertificate:
+def sign_certificate(u) -> SignCertificate:
     """Classify the sign of a solution, endpoint slopes included.
 
-    ``strongly_positive`` requires every interior sample above ``tol``, an
-    inward slope at a (u'(a) > tol) and an outward one at b (u'(b) < -tol);
-    ``strongly_negative`` mirrors that.  The default tolerance is
-    1e-7 * sup|u|, so the zero field always fails.
+    With tol = 1e-7 * sup|u|, ``strongly_positive`` requires every interior
+    sample above tol, an inward slope at a (u'(a) > tol) and an outward one
+    at b (u'(b) < -tol); ``strongly_negative`` mirrors that.  So the zero
+    field always fails.
     """
     fld = u.u if isinstance(u, SolutionField) else u
     vals = np.asarray(fld.values, dtype=np.float64)
-    if tol is None:
-        tol = 1e-7 * float(np.max(np.abs(vals)))
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    tol = 1e-7 * float(np.max(np.abs(vals)))
     interior = vals[1:-1]
     # the end formulas of np.gradient(vals, spacing, edge_order=2), as diff(fld, 1) takes them
     dx = fld.grid.spacing
@@ -780,24 +736,39 @@ def rhs_norm_bound(h: ScalarField, p: float, interval, r_min: float = 0.0) -> fl
     return _finite("rhs_norm_bound", p, interval, lambda: interval.length**2 * energy * sup_norm(h))
 
 
-def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 500) -> float:
+def _interior_band(op: OperatorMatrix) -> np.ndarray:
+    """The rounded interior block of A in ``gbtrf`` storage, A[i, j] at [4 + i - j, j].
+
+    Rows 0 and 1 are left free for the factorization's fill-in.  A's first
+    and last rows carry the ghost-eliminated stencils of the end moments.
+    """
+    inv4, inv2 = op.grid.spacing**-4, op.grid.spacing**-2
+    ab = np.zeros((7, op.grid.n - 1), order="F")
+    ab[4] = 6.0 * inv4 + 2.0 * op.p * inv2 + np.asarray(op.c.values, dtype=np.float64)[1:-1]
+    ab[4, 0] -= inv4
+    ab[4, -1] -= inv4
+    ab[3, 1:] = ab[5, :-1] = -4.0 * inv4 - op.p * inv2  # A[i, i + 1], A[i, i - 1]
+    ab[2, 2:] = ab[6, :-2] = inv4  # A[i, i + 2], A[i, i - 2]
+    return ab
+
+
+def smallest_eigenvalue(op: OperatorMatrix) -> float:
     """Smallest eigenvalue of the rounded band's interior block by inverse power iteration.
 
     Each step solves w = A^-1 v for the unit vector v on the factors of the
-    rounded band (:attr:`OperatorMatrix.band`), built and factored per call.
-    Until the vector has settled the estimate is theta = 1 / (v . w), taken
-    in float64.  Once theta's relative change drops to ``tol``, or stops
+    rounded band (``_interior_band``), built and factored per call.  Until
+    the vector has settled the estimate is theta = 1 / (v . w), taken in
+    float64.  Once theta's relative change drops to 1e-12, or stops
     shrinking after the third step, the estimate becomes the Rayleigh
     quotient of w / |w|, accumulated in extended precision because the
     matrix norm grows like spacing**-4 and float64 products would drown the
     update in rounding noise.  The iteration returns that quotient when its
-    update drops below ``tol`` or stops shrinking, whichever comes first.
+    update drops below 1e-12 or stops shrinking, whichever comes first, and
+    raises ConvergenceError when 500 steps do neither.
     """
-    band = op.band[:, 1:-1]  # the interior block
+    ab = _interior_band(op)
     lapack = _lapack()  # loaded here, without scipy.linalg
-    ab = np.zeros((7, op.grid.n - 1), order="F")
-    ab[2:] = band  # gbtrf keeps two extra rows for fill-in
-    lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=1)
+    lu, piv, info = lapack.dgbtrf(ab, 2, 2)  # on a copy: ab keeps the band
     if info != 0:
         raise _resonance_error(op)
     rng = np.random.default_rng(7)
@@ -806,7 +777,7 @@ def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 
     band_ld = None  # the extended-precision band, once theta has settled
     lam = None
     prev_delta = np.inf
-    for it in range(max_iter):
+    for it in range(500):
         w = lapack.dgbtrs(lu, 2, 2, v, piv)[0]
         norm = np.linalg.norm(w)
         if norm == 0.0 or not np.isfinite(norm):
@@ -819,16 +790,26 @@ def smallest_eigenvalue(op: OperatorMatrix, tol: float = 1e-12, max_iter: int = 
             new = _rayleigh_quotient(band_ld, w)
         if lam is not None:
             delta = abs(new - lam)
-            if delta <= tol * max(1.0, abs(new)) or (it >= 3 and delta >= prev_delta):
+            if delta <= 1e-12 * max(1.0, abs(new)) or (it >= 3 and delta >= prev_delta):
                 if band_ld is not None:
                     return new  # settled, or at the rounding floor
-                band_ld = band.astype(np.longdouble)
+                band_ld = ab[2:].astype(np.longdouble)
                 new = _rayleigh_quotient(band_ld, w)
                 delta = np.inf
             prev_delta = delta
         lam = new
         v = w
-    raise ConvergenceError(f"inverse power iteration did not settle within {max_iter} steps")
+    raise ConvergenceError("inverse power iteration did not settle within 500 steps")
+
+
+def _band_matvec(band: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # A @ u from the five diagonals of a (2, 2) band, A[i, j] at band[2 + i - j, j]
+    out = band[2] * u
+    out[:-1] += band[1, 1:] * u[1:]
+    out[1:] += band[3, :-1] * u[:-1]
+    out[:-2] += band[0, 2:] * u[2:]
+    out[2:] += band[4, :-2] * u[:-2]
+    return out
 
 
 def _rayleigh_quotient(band_ld: np.ndarray, w: np.ndarray) -> float:

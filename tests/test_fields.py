@@ -12,12 +12,15 @@ from beamsign import (
     diff,
     extrema,
     integrate,
-    l2_norm,
     split_signs,
     sup_norm,
 )
 
 UNIT = Interval(0.0, 1.0)
+
+
+def l2_norm(f):
+    return float(np.sqrt(integrate(ScalarField(f.grid, f.values * f.values))))
 
 
 def sine_series(rng, grid, modes=8):
@@ -136,7 +139,6 @@ def test_integrate_matches_scipy_simpson_bit_for_bit():
         v = rng.standard_normal(g.n + 1) * 10.0 ** rng.uniform(-4.0, 4.0, g.n + 1)
         f = ScalarField(g, v)
         assert integrate(f) == float(simpson(v, dx=g.spacing))
-        assert l2_norm(f) == float(np.sqrt(max(simpson(v * v, dx=g.spacing), 0.0)))
 
 
 def test_integrate_survives_an_overflowing_sum():
@@ -173,12 +175,8 @@ def test_norms():
     g = Grid(UNIT, 200)
     two = ScalarField.constant(g, -2.0)
     assert sup_norm(two) == 2.0
-    assert abs(l2_norm(two) - 2.0) < 1e-12
-    sin = ScalarField.from_function(g, lambda t: np.sin(np.pi * t))
-    assert abs(l2_norm(sin) - np.sqrt(0.5)) < 1e-8
     zero = ScalarField.constant(g, 0.0)
     assert sup_norm(zero) == 0.0
-    assert l2_norm(zero) == 0.0
 
 
 def test_diff_exactness_and_accuracy():

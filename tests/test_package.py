@@ -6,10 +6,10 @@ EXPORTED = {
     "GreensSignReport", "Grid", "InequalityRecord", "Interval", "NumericalError",
     "OperatorMatrix", "ProblemSpec", "ResonanceError", "RootSearchError", "ScalarField",
     "SignCertificate", "SolutionField", "SpectralData", "Verdict", "__version__", "assemble",
-    "char_roots", "check_amp_negative_h", "check_amp_positive_h", "check_corollary",
+    "check_amp_negative_h", "check_amp_positive_h", "check_corollary",
     "check_thm_negative", "check_thm_positive", "delta1", "delta2", "diff",
     "direct_solve", "extrema", "fixed_point_solve", "greens_constant",
-    "greens_discrete", "integrate", "l2_norm", "lambda2", "lambda3", "lambda_k", "nearest_mode",
+    "greens_discrete", "integrate", "lambda2", "lambda3", "lambda_k", "nearest_mode",
     "operator_norm_bound", "parse_expression", "rhs_norm_bound",
     "sign_certificate", "sign_scan", "smallest_eigenvalue", "split_signs", "sup_norm",
     "superposition_solve", "verdict", "y_boundary",
@@ -17,7 +17,7 @@ EXPORTED = {
 
 
 def test_package_exports_are_pinned_and_resolve():
-    assert len(EXPORTED) == 52
+    assert len(EXPORTED) == 50
     assert len(beamsign.__all__) == len(set(beamsign.__all__))
     assert set(beamsign.__all__) == EXPORTED
     for name in EXPORTED:
@@ -25,6 +25,46 @@ def test_package_exports_are_pinned_and_resolve():
     namespace = {}
     exec("from beamsign import *", namespace)
     assert EXPORTED <= namespace.keys()
+
+
+def _parameters(fn):
+    import inspect
+
+    return [
+        p.name if p.default is inspect.Parameter.empty else f"{p.name}={p.default!r}"
+        for p in inspect.signature(fn).parameters.values()
+    ]
+
+
+def test_signatures_take_only_what_callers_set():
+    # the grid that the problem or kernel carries, the fixed sign tolerances
+    # and series length, and the eigenvalue iteration's stopping rule are
+    # not arguments
+    assert _parameters(beamsign.direct_solve) == ["problem"]
+    assert _parameters(beamsign.superposition_solve) == ["problem"]
+    assert _parameters(beamsign.fixed_point_solve) == [
+        "problem", "mode='positive'", "tol=1e-10", "max_iter=200", "check_hypotheses=True",
+    ]
+    assert _parameters(beamsign.sign_scan) == ["G"]
+    assert _parameters(beamsign.sign_certificate) == ["u"]
+    assert _parameters(beamsign.smallest_eigenvalue) == ["op"]
+    assert _parameters(beamsign.greens_constant) == ["p", "m", "grid"]
+    assert not hasattr(beamsign.OperatorMatrix, "apply")
+    assert not hasattr(beamsign.OperatorMatrix, "band")
+
+
+def test_readme_library_api_names_every_export():
+    import os
+    import re
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    section = readme.split("## Library API\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)[`(.]", section))
+    assert set(beamsign.__all__) <= named
+    for removed in ("char_roots", "l2_norm", "OperatorMatrix.apply", "OperatorMatrix.band"):
+        assert removed not in section
 
 
 def _modules_loaded_by(code, package="beamsign"):

@@ -54,30 +54,32 @@ def relative_error(sol, ref) -> float:
     return float(np.max(np.abs(np.asarray(sol.u.values) - ref)) / np.max(np.abs(ref)))
 
 
+def _apply_band(op, u):
+    # A @ u on the interior nodes, from the rounded band that smallest_eigenvalue factors
+    return solver._band_matvec(solver._interior_band(op)[2:], u[1:-1])
+
+
 def test_assemble_acts_like_the_operator_on_eigenfunctions():
     grid = Grid(UNIT, 400)
     c0 = ScalarField.constant(grid, 0.0)
     op = assemble(0.0, c0, grid)
     u = np.sin(np.pi * grid.nodes)
-    out = np.asarray(op.apply(u), dtype=np.float64)
-    target = np.pi**4 * u
-    interior = slice(1, grid.n)
-    assert np.max(np.abs(out[interior] - target[interior])) < 0.005 * np.pi**4
-    assert np.all(op.apply(np.zeros(grid.n + 1)) == 0.0)
+    out = _apply_band(op, u)
+    target = np.pi**4 * u[1:-1]
+    assert np.max(np.abs(out - target)) < 0.005 * np.pi**4
+    assert np.all(_apply_band(op, np.zeros(grid.n + 1)) == 0.0)
     op1 = assemble(1.0, c0, grid)
     u2 = np.sin(2.0 * np.pi * grid.nodes)
     lam = 16.0 * np.pi**4 + 4.0 * np.pi**2
-    out2 = np.asarray(op1.apply(u2), dtype=np.float64)
-    assert np.max(np.abs(out2[interior] - lam * u2[interior])) < 0.005 * lam
+    out2 = _apply_band(op1, u2)
+    assert np.max(np.abs(out2 - lam * u2[1:-1])) < 0.005 * lam
 
 
 def test_assemble_interior_block_is_symmetric():
     grid = Grid(UNIT, 8)
     op = assemble(2.0, ScalarField.constant(grid, 5.0), grid)
-    dense = np.column_stack(
-        [np.asarray(op.apply(col), dtype=np.float64) for col in np.eye(grid.n + 1)]
-    )
-    inner = dense[1:-1, 1:-1]
+    inner = np.column_stack([_apply_band(op, e_j) for e_j in np.eye(grid.n + 1)[1:-1]])
+    assert inner.shape == (grid.n - 1, grid.n - 1)
     assert np.max(np.abs(inner - inner.T)) == 0.0
     with pytest.raises(ValueError):
         assemble(-1.0, ScalarField.constant(grid, 0.0), grid)
@@ -203,6 +205,38 @@ def test_a_fixed_point_step_beyond_float64_is_the_same_input_error():
     assert str(fixed.value) == str(direct.value)
 
 
+def _corpus_problem_that_diverges():
+    # negative mode freezes c = -11.7064, far below -lambda_3 = -0.435, at
+    # -lambda_3: the steps grow about 330-fold on a regular T[p, d] until
+    # iterate 123 leaves float64
+    interval = Interval(0.0, 11.1872)
+    grid = Grid(interval, 250)
+    c = ScalarField.constant(grid, -11.7064)
+    h = ScalarField(grid, -2.50744 * (1.0 + 0.5 * np.sin(np.pi * grid.nodes / 11.1872)))
+    return ProblemSpec(interval, 5.0, c, h)
+
+
+@pytest.mark.parametrize(
+    "make_problem, step, ratio",
+    [
+        (_corpus_problem_that_diverges, 123, 330.4),
+        # c = -1e5 frozen at -lambda_3 = -237.7 on [0, 1]: the steps grow about
+        # 711-fold, less than |c - d|, so the load (c - d) u leaves float64 a
+        # step before the iterate would; no numpy overflow warning may escape
+        (lambda: unit_problem(200, -1e5), 110, 711.0),
+    ],
+    ids=["iterate_overflows", "load_overflows"],
+)
+def test_a_diverging_fixed_point_run_is_a_convergence_error(make_problem, step, ratio):
+    # direct_solve returns each problem; the run diverges on a regular T[p, d]
+    problem = make_problem()
+    assert direct_solve(problem).forward_error_bound <= 1e-12
+    with pytest.raises(ConvergenceError, match=f"diverges: step {step} leaves float64") as info:
+        fixed_point_solve(problem, mode="negative", check_hypotheses=False)
+    assert info.value.last_ratio == pytest.approx(ratio, rel=1e-3)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_a_fixed_point_run_decides_the_path_once_per_operator(monkeypatch):
     # the frozen coefficient d = -lambda3 is constant: its modal denominators
     # are computed at the first step and kept, and so are those of the
@@ -265,8 +299,8 @@ def test_split_solves_on_long_intervals(length):
 
 def test_grid_argument_must_match():
     problem = unit_problem(200, 0.0)
-    with pytest.raises(ValueError):
-        direct_solve(problem, Grid(UNIT, 400))
+    with pytest.raises(ValueError, match="explicit grid does not match"):
+        assemble(problem.p, problem.c, Grid(UNIT, 400))
 
 
 def test_superposition_oracle_and_agreement():
@@ -373,8 +407,6 @@ def test_sign_certificate_examples():
     assert neg.verdict == "strongly_negative"
     assert abs(neg.slope_a + np.pi) < 1e-3
     assert abs(neg.slope_b - np.pi) < 1e-3
-    with pytest.raises(ValueError):
-        sign_certificate(u, tol=-1.0)
 
 
 def test_sign_certificate_accepts_solution_fields():
@@ -637,19 +669,19 @@ def test_superposition_meets_the_bound_at_large_n():
 
 
 def test_vector_solves_take_nothing_from_the_band(monkeypatch):
-    # the rounded band is built only when read, and of all the solve paths
-    # only smallest_eigenvalue reads it: no assembly, vector solve or kernel,
-    # for constant or variable c, builds it
+    # of all the solve paths only smallest_eigenvalue builds the rounded
+    # band: no assembly, vector solve or kernel, for constant or variable c,
+    # builds it
     from beamsign import solver
 
     built = []
-    band = solver.OperatorMatrix.band
+    band = solver._interior_band
 
-    def recording(self):
-        built.append(self.grid.n)
-        return band.fget(self)
+    def recording(op):
+        built.append(op.grid.n)
+        return band(op)
 
-    monkeypatch.setattr(solver.OperatorMatrix, "band", property(recording))
+    monkeypatch.setattr(solver, "_interior_band", recording)
     grid = Grid(UNIT, 200)
     c = ScalarField(grid, -250.0 + 30.0 * np.sin(np.pi * grid.nodes))
     h = ScalarField.constant(grid, 1.0)
@@ -1104,12 +1136,10 @@ def _eigenvalue_with_a_quotient_at_every_step(op, tol=1e-12, max_iter=500):
     from beamsign import solver
 
     lapack = solver._lapack()
-    band = op.band[:, 1:-1]
-    ab = np.zeros((7, op.grid.n - 1), order="F")
-    ab[2:] = band
+    ab = solver._interior_band(op)
     lu, piv, info = lapack.dgbtrf(ab, 2, 2)
     assert info == 0
-    band_ld = band.astype(np.longdouble)
+    band_ld = ab[2:].astype(np.longdouble)
     v = np.random.default_rng(7).standard_normal(op.grid.n + 1)[1:-1]
     v /= np.linalg.norm(v)
     lam, prev_delta = None, np.inf
